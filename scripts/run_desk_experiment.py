@@ -32,7 +32,7 @@ def parse_args():
     ap.add_argument("--units", type=int, default=40)
     ap.add_argument("--levels", default="0,25,50,75,85,90,95,100")
     ap.add_argument("--modes", default="hard,soft,warm")
-    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument("--jobs", type=int, default=1, help="worker processes for gen")
     return ap.parse_args()
 
 
@@ -47,8 +47,7 @@ def main():
     run("predict", "--dataset", ds, "--model", out / "model" / "model.bin",
         "--out", out / "predictions")
     run("evaluate", "--dataset", ds, "--probs", out / "predictions" / "probs.jsonl",
-        "--levels", args.levels, "--mode", args.modes, "--jobs", args.jobs,
-        "--out", out / "eval")
+        "--levels", args.levels, "--mode", args.modes, "--out", out / "eval")
     run("report", "--records", out / "eval" / "records.csv", "--out", out / "report")
     print(f"\ndone; see {out / 'report' / 'report.md'}")
 

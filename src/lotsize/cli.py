@@ -477,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--gap-tol", type=float, default=1e-9)
     p.add_argument("--ls-rounds", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 

@@ -112,6 +112,13 @@ class Instance:
 
 @dataclass(frozen=True)
 class SolveStats:
+    """Work counters of one solve.
+
+    ``lp_solves`` counts relaxations solved: one per branch-and-bound node,
+    whether the node was bounded in closed form or by the LP solver, plus
+    one per root separation round.
+    """
+
     wall_time_seconds: float = 0.0
     nodes_explored: int = 0
     lp_solves: int = 0

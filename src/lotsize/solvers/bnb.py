@@ -1,12 +1,15 @@
 """Branch and bound on the setup variables.
 
-Node relaxations are solved with the shared LP workspace. Search is
-best-bound first with deterministic FIFO tie-breaking, branching on the most
-fractional setup variable (ties to the earliest period). Integer candidates
-are re-evaluated exactly with the fixed-pattern solver so incumbent
-objectives carry no LP round-off. A cheap rounding-and-repair heuristic at
-the root guarantees an incumbent exists whenever the instance is feasible,
-so a time-limited run always returns its best solution so far.
+Without cut rows, every node is bounded in closed form by ``PathRelaxation``:
+the relaxation is then a transport problem on a path, which the production
+greedy of ``pattern.py`` solves exactly. With cut rows, nodes are solved by
+HiGHS through ``LpWorkspace``. Search is best-bound first with deterministic
+FIFO tie-breaking, branching on the most fractional setup variable (ties to
+the earliest period). Integer candidates are re-evaluated exactly with the
+fixed-pattern solver so incumbent objectives carry no LP round-off. A cheap
+rounding-and-repair heuristic at the root guarantees an incumbent exists
+whenever the instance is feasible, so a time-limited run always returns its
+best solution so far.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from ..core import (
     infeasible_solution,
 )
 from .lp import LP_INFEASIBLE, LP_OPTIMAL, LpWorkspace
-from .pattern import solve_for_pattern
+from .pattern import PathRelaxation, solve_for_pattern
 
 INT_TOL = 1e-6
 
@@ -41,7 +44,6 @@ class BnbOptions:
     extra_cuts: tuple = ()
     incumbent_y: tuple | None = None
     root_heuristic: bool = True
-    node_limit: int | None = None
 
 
 def repair_pattern(inst: Instance, open_flags, scores, allowed=None) -> np.ndarray | None:
@@ -109,21 +111,21 @@ def branch_and_bound(
             SolveStats(wall_time_seconds=elapsed, mip_gap=0.0, cuts_added=len(opts.extra_cuts))
         )
 
-    ws = LpWorkspace(inst, opts.extra_cuts)
+    relaxation = LpWorkspace(inst, opts.extra_cuts) if opts.extra_cuts else PathRelaxation(inst)
     incumbent: Solution | None = None
     if opts.incumbent_y is not None:
         incumbent = solve_for_pattern(inst, opts.incumbent_y)
 
     counter = itertools.count()
     nodes_explored = 0
-    root = ws.solve(fixed)
+    root = relaxation.solve(fixed)
     nodes_explored += 1
     if root.status == LP_INFEASIBLE:
         return infeasible_solution(
             inst.T,
             SolveStats(
                 wall_time_seconds=time.perf_counter() - t0,
-                lp_solves=ws.lp_calls,
+                lp_solves=nodes_explored,
                 nodes_explored=nodes_explored,
                 cuts_added=len(opts.extra_cuts),
             ),
@@ -169,13 +171,10 @@ def branch_and_bound(
         if opts.time_limit is not None and time.perf_counter() - t0 > opts.time_limit:
             status = STATUS_TIME_LIMIT
             break
-        if opts.node_limit is not None and nodes_explored >= opts.node_limit:
-            status = STATUS_TIME_LIMIT
-            break
         bound, _, node_fixed = heapq.heappop(heap)
         if bound >= prune_bound(upper()):
             continue
-        lp_sol = ws.solve(node_fixed)
+        lp_sol = relaxation.solve(node_fixed)
         nodes_explored += 1
         if lp_sol.status != LP_OPTIMAL:
             continue
@@ -187,7 +186,7 @@ def branch_and_bound(
     stats = SolveStats(
         wall_time_seconds=elapsed,
         nodes_explored=nodes_explored,
-        lp_solves=ws.lp_calls,
+        lp_solves=nodes_explored,
         mip_gap=None,
         cuts_added=len(opts.extra_cuts),
     )

@@ -36,9 +36,10 @@ class LpSolution:
 class LpWorkspace:
     """Reusable constraint matrices for repeated solves of one instance.
 
-    Branch and bound re-solves the same relaxation with different setup
-    bounds, so the matrices are assembled once and only the bound column for
-    ``y`` changes between calls.
+    Branch and bound with cut rows re-solves the same relaxation with
+    different setup bounds, so the matrices are assembled once and only the
+    bound column for ``y`` changes between calls. Without cut rows, branch
+    and bound uses the closed-form ``PathRelaxation`` instead.
     """
 
     def __init__(self, inst: Instance, extra_cuts=()):
@@ -67,8 +68,6 @@ class LpWorkspace:
         self.b_eq = b_eq
         self.A_ub = np.vstack([cap_rows, cut_rows])
         self.b_ub = np.zeros(T + len(extra_cuts))
-        self.n_cuts = len(extra_cuts)
-        self.lp_calls = 0
 
     def solve(self, fixed: dict[int, int] | None = None) -> LpSolution:
         """Solve with setup bounds collapsed per the 1-based ``fixed`` map."""
@@ -89,7 +88,6 @@ class LpWorkspace:
             bounds=np.column_stack([lower, upper]),
             method="highs",
         )
-        self.lp_calls += 1
         status = _STATUS_MAP.get(res.status)
         if status is None:
             raise RuntimeError(f"LP solver failed with status {res.status}: {res.message}")

@@ -1,53 +1,125 @@
-"""Exact evaluation of a fully fixed setup pattern.
+"""Production on a path: fixed setup patterns and cut-free node relaxations.
 
-With the setup vector fixed, the remaining problem in ``x`` and ``s`` is a
-transportation LP on a path. Substituting the inventory balance turns it into
-``min sum_u (p_u + H_u) * x_u`` subject to cumulative production covering
-cumulative net demand, where ``H_u`` is the holding cost from period ``u`` to
-the end of the horizon. Deficits are processed in period order and each one
-has a superset of the sources available to earlier deficits, so serving every
-deficit from the cheapest open period with spare capacity is optimal.
+Once every setup variable is either fixed or relaxed with no cut rows, the
+remaining problem in ``x`` and ``s`` is a transportation LP on a path.
+Substituting the inventory balance turns it into ``min sum_u c_u * x_u``
+subject to ``0 <= x_u <= ub_u`` and cumulative production covering cumulative
+net demand. The holding cost from period ``u`` to the end of the horizon,
+``H_u``, is folded into ``c_u``. Deficits are processed in period order and
+each one has a superset of the sources available to earlier deficits, so
+serving every deficit from the cheapest period with spare capacity is
+optimal. One greedy, ``greedy_production``, does this for both callers:
+
+- a fixed 0/1 pattern has ``c_u = p_u + H_u`` and ``ub_u = y_u * cap_u``;
+- a branch-and-bound node without cut rows relaxes each free ``y_u`` to
+  ``x_u / cap_u``, which charges ``f_u / cap_u`` per unit on top of
+  ``p_u + H_u``. Periods fixed open pay ``f_u`` once and periods fixed
+  closed have ``ub_u = 0``.
 """
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from ..core import Instance, Solution, SolveStats, STATUS_OPTIMAL, objective_value
+from .lp import LP_INFEASIBLE, LP_OPTIMAL, LpSolution
+
+
+def greedy_production(need, unit_cost, upper) -> list[float] | None:
+    """Cheapest production covering every cumulative need, or None.
+
+    ``need[k]`` is the cumulative net demand through period ``k`` (0-based)
+    and must not decrease. Producing in ``u`` costs ``unit_cost[u]`` per unit
+    and is bounded by ``upper[u]``. A deficit is served from the cheapest
+    period up to it with room left, ties to the earliest period.
+    """
+    x = [0.0] * len(need)
+    sources: list[tuple[float, int]] = []
+    produced = 0.0
+    for k, need_k in enumerate(need):
+        if upper[k] > 0:
+            heapq.heappush(sources, (unit_cost[k], k))
+        deficit = need_k - produced
+        while deficit > 0:
+            if not sources:
+                return None
+            u = sources[0][1]
+            room = upper[u] - x[u]
+            if room <= deficit:
+                heapq.heappop(sources)
+                x[u] = upper[u]
+                take = room
+            else:
+                x[u] += deficit
+                take = deficit
+            produced += take
+            deficit -= take
+    return x
+
+
+def _path_costs(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative net demand and the unit cost ``p_u + H_u`` of each period."""
+    holding_to_end = np.cumsum(inst.h[::-1])[::-1]
+    return np.cumsum(inst.d) - inst.s0, inst.p + holding_to_end
 
 
 def solve_for_pattern(inst: Instance, pattern) -> Solution | None:
     """Optimal production for a 0/1 setup vector, or None if infeasible."""
-    T = inst.T
     y = np.asarray(pattern, dtype=np.int64)
-    ub = np.where(y > 0, inst.cap.astype(np.float64), 0.0)
-    # Effective unit cost of producing in u, holding folded in.
-    suffix_h = np.cumsum(inst.h[::-1])[::-1]
-    unit_cost = inst.p + suffix_h
-    order = np.lexsort((np.arange(T), unit_cost))
-
-    cum_d = np.cumsum(inst.d)
-    x = np.zeros(T)
-    produced = 0.0
-    for k in range(T):
-        need = cum_d[k] - inst.s0
-        if produced >= need:
-            continue
-        deficit = need - produced
-        for u in order:
-            if u > k:
-                continue
-            room = ub[u] - x[u]
-            if room <= 0:
-                continue
-            take = min(room, deficit)
-            x[u] += take
-            produced += take
-            deficit -= take
-            if deficit <= 0:
-                break
-        if deficit > 0:
-            return None
-    s = inst.s0 + np.cumsum(x) - cum_d
+    need, unit_cost = _path_costs(inst)
+    upper = np.where(y > 0, inst.cap, 0)
+    x = greedy_production(need.tolist(), unit_cost.tolist(), upper.tolist())
+    if x is None:
+        return None
+    x = np.asarray(x)
+    s = np.cumsum(x) - need
     obj = objective_value(inst, x, y, s)
     return Solution(x=x, s=s, y=y, objective=obj, status=STATUS_OPTIMAL, stats=SolveStats())
+
+
+class PathRelaxation:
+    """Cut-free LP relaxation of one instance, solved in closed form.
+
+    Same ``solve(fixed)`` contract as ``LpWorkspace`` without cut rows: the
+    optimum of the relaxation with ``0 <= y <= 1`` and the 1-based ``fixed``
+    setups collapsed to their values. A free ``y_t`` is ``x_t / cap_t`` (0
+    when ``cap_t`` is 0), the smallest value its capacity row allows.
+    """
+
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        need, open_cost = _path_costs(inst)
+        cap = inst.cap.astype(np.float64)
+        per_unit_setup = np.divide(inst.f, cap, out=np.zeros(inst.T), where=cap > 0)
+        self._need = need
+        self._need_list = need.tolist()
+        self._open_cost = open_cost.tolist()
+        self._free_cost = (open_cost + per_unit_setup).tolist()
+        self._cap = cap
+        self._cap_list = cap.tolist()
+
+    def solve(self, fixed: dict[int, int]) -> LpSolution:
+        T = self.inst.T
+        unit_cost = list(self._free_cost)
+        upper = list(self._cap_list)
+        for t, v in fixed.items():
+            if v:
+                unit_cost[t - 1] = self._open_cost[t - 1]
+            else:
+                upper[t - 1] = 0.0
+        x = greedy_production(self._need_list, unit_cost, upper)
+        if x is None:
+            return LpSolution(
+                x=np.zeros(T), y=np.zeros(T), s=np.zeros(T),
+                objective=float("inf"), status=LP_INFEASIBLE,
+            )
+        x = np.asarray(x)
+        y = np.divide(x, self._cap, out=np.zeros(T), where=self._cap > 0)
+        for t, v in fixed.items():
+            y[t - 1] = v
+        s = np.cumsum(x) - self._need
+        return LpSolution(
+            x=x, y=y, s=s, objective=objective_value(self.inst, x, y, s), status=LP_OPTIMAL
+        )

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from lotsize import GenParams, Instance, generate_instance
 
@@ -28,6 +29,30 @@ def random_small_instance(rng: np.random.Generator, T: int | None = None) -> Ins
         h=rng.integers(0, 3, T),
         cap=cap,
         s0=int(rng.integers(0, 4)),
+    )
+
+
+@st.composite
+def edge_instances(draw) -> Instance:
+    """Small instances that reach the edge cases of the path solvers.
+
+    Narrow integer ranges give initial inventory, zero-capacity periods, free
+    setups (``f = 0``), period-dependent holding costs and tied unit costs.
+    ``T <= 7`` keeps brute force to at most 128 patterns.
+    """
+    T = draw(st.integers(1, 7))
+
+    def vector(lo: int, hi: int):
+        return draw(st.lists(st.integers(lo, hi), min_size=T, max_size=T))
+
+    return Instance(
+        T=T,
+        d=vector(0, 9),
+        p=vector(0, 2),
+        f=vector(0, 20),
+        h=vector(0, 2),
+        cap=vector(0, 16),
+        s0=draw(st.integers(0, 12)),
     )
 
 

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from lotsize.cli import main
+import lotsize
+from lotsize.cli import EXIT_USAGE, main
 
 
 def run(*argv) -> int:
@@ -146,6 +150,21 @@ class TestTrainPredictEvaluateReport:
         assert {"instance_id", "mode", "level_pct", "status", "z_star", "z_tilde",
                 "time_plain_s", "time_ml_s", "k_fixed", "optgap_pct",
                 "c_ratio", "f_ratio", "T"} == set(records[0])
+
+    def test_evaluate_rejects_jobs(self, dataset_dir, tmp_path):
+        # evaluate runs in one process; a --jobs flag would be accepted and ignored.
+        src = str(Path(lotsize.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "lotsize.cli", "evaluate", "--dataset", str(dataset_dir),
+             "--probs", str(tmp_path / "probs.jsonl"), "--jobs", "2",
+             "--out", str(tmp_path / "eval")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert "--jobs" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_predict_without_source_is_usage_error(self, dataset_dir, tmp_path):
         assert run("predict", "--dataset", dataset_dir, "--out", tmp_path / "x") == 2

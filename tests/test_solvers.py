@@ -1,5 +1,7 @@
 """Branch and bound, dynamic program and brute force against each other."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,15 @@ from lotsize.solvers import (
     solve_for_pattern,
     solve_lp,
 )
-from lotsize.solvers.lp import LP_OPTIMAL
+from lotsize.solvers.lp import LP_OPTIMAL, LpWorkspace
+from lotsize.solvers.pattern import PathRelaxation
 
-from conftest import random_small_instance
+from conftest import edge_instances, random_small_instance
+
+
+def partial_fixings(inst: Instance):
+    """1-based setup fixings of any size, values 0 or 1."""
+    return st.dictionaries(st.integers(1, inst.T), st.integers(0, 1), max_size=inst.T)
 
 
 class TestPatternSolver:
@@ -44,6 +52,38 @@ class TestPatternSolver:
             assert lp.status == LP_OPTIMAL
             assert greedy.objective == pytest.approx(lp.objective, abs=1e-6)
             assert check_solution(inst, greedy) == []
+
+
+class TestPathRelaxation:
+    def test_single_period_by_hand(self):
+        inst = Instance(T=1, d=[5], p=[1], f=[2], h=[1], cap=[10])
+        lp = PathRelaxation(inst).solve({})
+        assert lp.objective == pytest.approx(6.0)
+        assert lp.y[0] == pytest.approx(0.5)
+
+    def test_zero_capacity_period_fixed_open_pays_setup(self):
+        inst = Instance(T=2, d=[0, 3], p=[1, 1], f=[7, 2], h=[0, 0], cap=[0, 6])
+        lp = PathRelaxation(inst).solve({1: 1})
+        assert np.array_equal(lp.y, [1.0, 0.5])
+        assert lp.objective == pytest.approx(7 + 3 + 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_lp_workspace(self, data):
+        inst = data.draw(edge_instances())
+        fixed = data.draw(partial_fixings(inst))
+        closed = PathRelaxation(inst).solve(fixed)
+        lp = LpWorkspace(inst).solve(fixed)
+        assert closed.status == lp.status
+        if lp.status != LP_OPTIMAL:
+            return
+        assert closed.objective == pytest.approx(lp.objective, rel=1e-9, abs=1e-9)
+        # The closed-form point is itself feasible for the relaxation.
+        assert np.allclose(inst.s0 + np.cumsum(closed.x) - np.cumsum(inst.d), closed.s)
+        assert np.all(closed.s >= -1e-9) and np.all(closed.x >= 0)
+        assert np.all(closed.x <= closed.y * inst.cap + 1e-9)
+        assert np.all((closed.y >= 0) & (closed.y <= 1))
+        assert all(closed.y[t - 1] == v for t, v in fixed.items())
 
 
 class TestBruteForce:
@@ -155,3 +195,38 @@ class TestOracleAgreement:
         else:
             assert dp.objective == pytest.approx(bf.objective, rel=1e-6)
             assert bb.objective == pytest.approx(bf.objective, rel=1e-6)
+
+
+class TestCutFreeBranchAndBound:
+    @settings(max_examples=150, deadline=None)
+    @given(inst=edge_instances())
+    def test_matches_brute_force_and_dp(self, inst):
+        bb = branch_and_bound(inst)
+        bf = brute_force(inst)
+        dp = solve_dp(inst)
+        assert bb.status == bf.status == dp.status
+        if bb.status == "Optimal":
+            assert bb.objective == pytest.approx(bf.objective, rel=1e-9, abs=1e-9)
+            assert bb.objective == pytest.approx(dp.objective, rel=1e-9, abs=1e-9)
+            assert check_solution(inst, bb) == []
+            assert bb.stats.lp_solves == bb.stats.nodes_explored
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_partial_plan_matches_enumeration(self, data):
+        inst = data.draw(edge_instances())
+        fixed = data.draw(partial_fixings(inst))
+        best = None
+        for pattern in itertools.product((0, 1), repeat=inst.T):
+            if any(pattern[t - 1] != v for t, v in fixed.items()):
+                continue
+            sol = solve_for_pattern(inst, pattern)
+            if sol is not None and (best is None or sol.objective < best):
+                best = sol.objective
+        bb = branch_and_bound(inst, FixPlan(fixed))
+        if best is None:
+            assert bb.status == "Infeasible"
+        else:
+            assert bb.status == "Optimal"
+            assert bb.objective == pytest.approx(best, rel=1e-9, abs=1e-9)
+            assert all(bb.y[t - 1] == v for t, v in fixed.items())
