@@ -14,20 +14,7 @@ import time
 from pathlib import Path
 
 from lotsize import GenParams, generate_instance
-from lotsize.solvers import (
-    branch_and_bound,
-    brute_force,
-    compute_igap,
-    solve_dp,
-    solve_lp,
-    solve_with_ls_cuts,
-)
-
-SOLVERS = {
-    "bnb": lambda inst: branch_and_bound(inst),
-    "lscuts": lambda inst: solve_with_ls_cuts(inst),
-    "dp": solve_dp,
-}
+from lotsize.solvers import SOLVERS, compute_igap, solve, solve_lp
 
 
 def parse_args():
@@ -44,11 +31,9 @@ def parse_args():
 
 def main():
     args = parse_args()
-    solvers = dict(SOLVERS)
-    if args.include_brute:
-        if args.T > 20:
-            sys.exit("brute force only handles T <= 20")
-        solvers["brute"] = brute_force
+    names = [name for name in SOLVERS if name != "brute" or args.include_brute]
+    if args.include_brute and args.T > 20:
+        sys.exit("brute force only handles T <= 20")
     rows = []
     for c in (3, 5, 8):
         params = GenParams(
@@ -58,12 +43,12 @@ def main():
         instances = [generate_instance(params, i) for i in range(args.n)]
         igaps = []
         reference = None
-        for name, solver in solvers.items():
+        for name in names:
             times = []
             objs = []
             for inst in instances:
                 t0 = time.perf_counter()
-                sol = solver(inst)
+                sol = solve(name, inst)
                 times.append(time.perf_counter() - t0)
                 objs.append(sol.objective)
             if reference is None:

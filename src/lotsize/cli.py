@@ -1,14 +1,19 @@
 """Command-line orchestration: gen, solve, train, predict, evaluate, report.
 
-Every command writes its outputs plus a run manifest into ``--out``. A
-config file of ``key = value`` lines can pre-set any long flag; explicit
-flags win. Exit codes: 0 success, 2 usage, 3 missing input, 4 format
-mismatch, 5 resource limits.
+Every command writes its outputs plus a run manifest into ``--out``; the
+manifest's ``command`` is the argument list ``main`` received. ``gen
+--oracle`` and ``solve --solver`` take any name in ``solvers.SOLVERS``. A
+config file of ``key = value`` lines (``--config FILE``) pre-sets long
+flags of the chosen command: each line becomes ``--key=value`` ahead of the
+explicit flags, which therefore win, and a key the command does not define
+is a usage error. Exit codes: 0 success, 2 usage, 3 missing input, 4
+format mismatch, 5 resource limits.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -17,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .baselines import LogisticConfig, logistic_fit, logistic_predict
-from .core import Instance
 from .dataio import (
     read_dataset,
     read_probabilities,
@@ -27,14 +31,7 @@ from .dataio import (
     write_probabilities,
     write_records_csv,
 )
-from .errors import (
-    DatasetError,
-    GenerationError,
-    ModelFormatError,
-    ResourceLimitError,
-    UsageError,
-    ValidationError,
-)
+from .errors import LotsizeError, ModelFormatError, ResourceLimitError, UsageError
 from .generate import GenParams, generate_dataset
 from .manifest import RunManifest
 from .nn.lstm import BiLstmModel, predict_instance
@@ -50,14 +47,12 @@ from .pipeline import (
     solve_with_warm_start,
 )
 from .report import figure_csvs, render_markdown
-from .solvers import BnbOptions, branch_and_bound, brute_force, solve_dp, solve_with_ls_cuts
+from .solvers import SOLVERS, BnbOptions, solve
 
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_FORMAT = 4
 EXIT_RESOURCE = 5
-
-SOLVER_NAMES = ("bnb", "dp", "lscuts", "brute")
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -74,50 +69,25 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _all_option_actions(parser: argparse.ArgumentParser) -> dict[str, list[argparse.Action]]:
-    """Map every option dest to its actions across all subcommands."""
-    actions: dict[str, list[argparse.Action]] = {}
-    stack = [parser]
-    while stack:
-        p = stack.pop()
-        for action in p._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                stack.extend(action.choices.values())
-            elif action.dest not in ("help", "==SUPPRESS=="):
-                actions.setdefault(action.dest, []).append(action)
-    return actions
+def _merge_config(argv: list[str]) -> tuple[list[str], list[str]]:
+    """Replace --config FILE by the file's values as the command's own flags.
 
-
-def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Pull --config out of argv and install its values as parser defaults.
-
-    Values from the file are converted with the owning option's type; flags
-    given explicitly on the command line still win.
+    Each ``key = value`` line becomes ``--key=value`` right after the
+    command name, ahead of the explicit flags, which therefore win. Returns
+    the merged argv and the keys the file set.
     """
     if "--config" not in argv:
-        return argv
+        return argv, []
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         raise UsageError("--config requires a file path")
-    path = argv[idx + 1]
+    file_values = _read_config_file(argv[idx + 1])
     remaining = argv[:idx] + argv[idx + 2 :]
-    file_values = _read_config_file(path)
-    actions = _all_option_actions(parser)
-    unknown = set(file_values) - set(actions)
-    if unknown:
-        raise UsageError(f"config file sets unknown keys: {sorted(unknown)}")
-    for key, raw in file_values.items():
-        # Subparsers re-apply their own action defaults over the parent's,
-        # so install the value on every action carrying this dest.
-        for action in actions[key]:
-            convert = action.type
-            try:
-                value = convert(raw) if convert is not None else raw
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise UsageError(f"config value {key}={raw!r} is invalid: {exc}") from exc
-            action.default = value
-            action.required = False
-    return remaining
+    at = next((i for i, a in enumerate(remaining) if not a.startswith("-")), None)
+    if at is None:
+        raise UsageError("--config requires a command")
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in file_values.items()]
+    return remaining[: at + 1] + flags + remaining[at + 1 :], list(file_values)
 
 
 def _int_pair(text: str) -> tuple[int, int]:
@@ -127,17 +97,18 @@ def _int_pair(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _levels(text) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    return [float(v) for v in str(text).split(",") if v != ""]
+def _levels(text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",") if v != ""]
+    except ValueError as exc:
+        raise UsageError(f"--levels: {exc}") from exc
 
 
-def _modes(text) -> list[str]:
-    modes = [m.strip() for m in str(text).split(",") if m.strip()]
+def _modes(text: str) -> list[str]:
+    modes = [m.strip() for m in text.split(",") if m.strip()]
     for m in modes:
         if m not in ("hard", "soft", "warm"):
-            raise argparse.ArgumentTypeError(f"unknown mode {m!r}")
+            raise UsageError(f"unknown mode {m!r}")
     return modes
 
 
@@ -148,8 +119,8 @@ def _pool_map(jobs: int):
     return executor
 
 
-def _config_snapshot(args, tool: str) -> dict:
-    snap = {"tool": tool}
+def _config_snapshot(args) -> dict:
+    snap = {"tool": args.command}
     for key, value in vars(args).items():
         if key == "func":
             continue
@@ -159,22 +130,21 @@ def _config_snapshot(args, tool: str) -> dict:
     return snap
 
 
-def _oracle_dp(inst: Instance):
-    return solve_dp(inst)
+def _check_solver(name: str, flag: str) -> None:
+    if name not in SOLVERS:
+        raise UsageError(f"{flag} must be one of {', '.join(SOLVERS)}")
 
 
-def _oracle_bnb(inst: Instance):
-    return branch_and_bound(inst)
+def _read_split(args):
+    """The dataset and its ``--split`` pairs; an empty split is a usage error."""
+    dataset = read_dataset(args.dataset)
+    pairs = dict(dataset.splits())[args.split]
+    if not pairs:
+        raise UsageError(f"split {args.split!r} of {args.dataset} is empty")
+    return dataset, pairs
 
 
-def _oracle_lscuts(inst: Instance):
-    return solve_with_ls_cuts(inst)
-
-
-_ORACLES = {"dp": _oracle_dp, "bnb": _oracle_bnb, "lscuts": _oracle_lscuts}
-
-
-def cmd_gen(args) -> int:
+def cmd_gen(args, manifest: RunManifest) -> int:
     params = GenParams(
         c_ratio=args.c,
         f_ratio=args.f,
@@ -185,19 +155,13 @@ def cmd_gen(args) -> int:
     )
     if args.n < 10:
         raise UsageError("--n must be at least 10")
-    if args.oracle not in _ORACLES:
-        raise UsageError(f"--oracle must be one of {sorted(_ORACLES)}")
-    manifest = RunManifest(
-        command=sys.argv[1:],
-        config=_config_snapshot(args, "gen"),
-        seeds={"seed": args.seed},
-        tool_version=__version__,
-    )
+    _check_solver(args.oracle, "--oracle")
     pool = _pool_map(args.jobs)
     try:
         map_fn = pool.map if pool else None
         dataset = generate_dataset(
-            params, args.n, _ORACLES[args.oracle], oracle_name=args.oracle, map_fn=map_fn
+            params, args.n, functools.partial(solve, args.oracle),
+            oracle_name=args.oracle, map_fn=map_fn,
         )
     finally:
         if pool:
@@ -211,46 +175,19 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _solve_one(payload):
-    name, inst_dict, opt_values = payload
-    inst = Instance.from_dict(inst_dict)
-    opts = BnbOptions(
-        time_limit=opt_values.get("time_limit"),
-        gap_tol=opt_values.get("gap_tol", 1e-9),
+def cmd_solve(args, manifest: RunManifest) -> int:
+    _check_solver(args.solver, "--solver")
+    _, split = _read_split(args)
+    solver = functools.partial(
+        solve,
+        args.solver,
+        opts=BnbOptions(time_limit=args.time_limit, gap_tol=args.gap_tol),
+        ls_rounds=args.ls_rounds,
     )
-    if name == "bnb":
-        return branch_and_bound(inst, opts=opts)
-    if name == "dp":
-        return solve_dp(inst)
-    if name == "lscuts":
-        return solve_with_ls_cuts(inst, rounds=opt_values.get("ls_rounds", 5), opts=opts)
-    if name == "brute":
-        return brute_force(inst)
-    raise UsageError(f"unknown solver {name!r}")
-
-
-def cmd_solve(args) -> int:
-    if args.solver not in SOLVER_NAMES:
-        raise UsageError(f"--solver must be one of {SOLVER_NAMES}")
-    dataset = read_dataset(args.dataset)
-    split = {"train": dataset.train, "val": dataset.validation, "test": dataset.test}[args.split]
-    if not split:
-        raise UsageError(f"split {args.split!r} of {args.dataset} is empty")
-    manifest = RunManifest(
-        command=sys.argv[1:],
-        config=_config_snapshot(args, "solve"),
-        tool_version=__version__,
-    )
-    opt_values = {
-        "time_limit": args.time_limit,
-        "gap_tol": args.gap_tol,
-        "ls_rounds": args.ls_rounds,
-    }
-    payloads = [(args.solver, inst.to_dict(), opt_values) for inst, _ in split]
     pool = _pool_map(args.jobs)
     try:
         mapper = pool.map if pool else map
-        solutions = list(mapper(_solve_one, payloads))
+        solutions = list(mapper(solver, [inst for inst, _ in split]))
     finally:
         if pool:
             pool.shutdown()
@@ -269,7 +206,7 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, manifest: RunManifest) -> int:
     dataset = read_dataset(args.dataset)
     if not dataset.train or not dataset.validation:
         raise UsageError("training requires non-empty train and validation splits")
@@ -287,12 +224,6 @@ def cmd_train(args) -> int:
         max_epochs=args.epochs,
         early_stop_patience=args.patience,
         seed=args.seed,
-    )
-    manifest = RunManifest(
-        command=sys.argv[1:],
-        config=_config_snapshot(args, "train"),
-        seeds={"seed": args.seed},
-        tool_version=__version__,
     )
     train_arrays = pairs_to_arrays(dataset.train, standardizer)
     val_arrays = pairs_to_arrays(dataset.validation, standardizer)
@@ -315,18 +246,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
-    dataset = read_dataset(args.dataset)
-    split = {"train": dataset.train, "val": dataset.validation, "test": dataset.test}[args.split]
-    if not split:
-        raise UsageError(f"split {args.split!r} of {args.dataset} is empty")
+def cmd_predict(args, manifest: RunManifest) -> int:
+    dataset, split = _read_split(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        command=sys.argv[1:],
-        config=_config_snapshot(args, "predict"),
-        tool_version=__version__,
-    )
     rows = []
     if args.baseline == "logistic":
         model = logistic_fit(dataset.train, LogisticConfig(seed=args.seed))
@@ -347,11 +270,8 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    dataset = read_dataset(args.dataset)
-    split = {"train": dataset.train, "val": dataset.validation, "test": dataset.test}[args.split]
-    if not split:
-        raise UsageError(f"split {args.split!r} of {args.dataset} is empty")
+def cmd_evaluate(args, manifest: RunManifest) -> int:
+    _, split = _read_split(args)
     probs = read_probabilities(args.probs)
     levels = _levels(args.levels)
     for lv in levels:
@@ -381,11 +301,6 @@ def cmd_evaluate(args) -> int:
                 records.append(solve_with_warm_start(inst, pred, opts))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        command=sys.argv[1:],
-        config=_config_snapshot(args, "evaluate"),
-        tool_version=__version__,
-    )
     csv_path = out / "records.csv"
     write_records_csv(csv_path, records)
     manifest.finish(out, [csv_path])
@@ -393,15 +308,10 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, manifest: RunManifest) -> int:
     records = read_records_csv(args.records)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        command=sys.argv[1:],
-        config=_config_snapshot(args, "report"),
-        tool_version=__version__,
-    )
     report_path = out / "report.md"
     report_path.write_text(render_markdown(records), encoding="utf-8")
     files = [report_path]
@@ -430,14 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--demand-range", type=_int_pair, default=(1, 600))
     p.add_argument("--prod-cost-range", type=_int_pair, default=(1, 5))
-    p.add_argument("--oracle", default="dp", help="oracle solver: dp, bnb or lscuts")
+    p.add_argument("--oracle", default="dp", help=f"oracle solver: {', '.join(SOLVERS)}")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("solve", help="solve a dataset split with one solver")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--solver", required=True, help="bnb, dp, lscuts or brute")
+    p.add_argument("--solver", required=True, help=", ".join(SOLVERS))
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--gap-tol", type=float, default=1e-9)
@@ -492,15 +402,20 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_defaults(parser, argv)
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValidationError, GenerationError, DatasetError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        merged, config_keys = _merge_config(argv)
+        args, extra = parser.parse_known_args(merged)
+        unknown = sorted(set(config_keys) - set(vars(args)))
+        if unknown:
+            raise UsageError(f"config file sets keys that {args.command} does not define: {unknown}")
+        if extra:
+            raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
+        manifest = RunManifest(
+            command=argv,
+            config=_config_snapshot(args),
+            seeds={"seed": args.seed} if "seed" in vars(args) else {},
+            tool_version=__version__,
+        )
+        return args.func(args, manifest)
     except FileNotFoundError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -510,6 +425,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except LotsizeError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

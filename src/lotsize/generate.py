@@ -194,8 +194,3 @@ def generate_dataset(
         ),
         provenance={"seed": params.seed, "oracle": oracle_name, "n": n},
     )
-
-
-def instances_only(params: GenParams, n: int) -> list[Instance]:
-    """Generate feasible instances without solving them."""
-    return [generate_instance(params, i) for i in range(n)]

@@ -43,9 +43,6 @@ class Standardizer:
     def transform(self, features: np.ndarray) -> np.ndarray:
         return (np.asarray(features, dtype=np.float64) - self.mean) / self.std
 
-    def inverse(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(z, dtype=np.float64) * self.std + self.mean
-
 
 def standardize_fit(feature_arrays: Iterable[np.ndarray]) -> Standardizer:
     """Pool all (instance, period) rows and fit population mean and std."""

@@ -148,14 +148,6 @@ def accuracy_on_arrays(model: BiLstmModel, X: np.ndarray, Y: np.ndarray, chunk: 
     return hits / Y.size
 
 
-def validation_accuracy(model: BiLstmModel, split) -> float:
-    """Accuracy over a split given either arrays or (Instance, Solution) pairs."""
-    if isinstance(split, tuple) and len(split) == 2 and isinstance(split[0], np.ndarray):
-        return accuracy_on_arrays(model, split[0], split[1])
-    X, Y = pairs_to_arrays(split, model.standardizer)
-    return accuracy_on_arrays(model, X, Y)
-
-
 def pairs_to_arrays(
     pairs: list[tuple[Instance, Solution]], standardizer: Standardizer | None
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +35,7 @@ from .errors import DimensionError, PartitionError, ValidationError
 from .nn.lstm import BiLstmModel, bilstm_forward
 from .nn.standardize import instance_features
 from .solvers.bnb import BnbOptions, branch_and_bound, repair_pattern
-from .solvers.cuts import root_cut_loop
-from .solvers.pattern import solve_for_pattern
+from .solvers.cuts import solve_with_ls_cuts
 
 MODE_HARD = "hard"
 MODE_SOFT = "soft"
@@ -113,11 +112,15 @@ class EvalRecord:
     T: int | None = None
 
 
-def _solve_restricted(inst: Instance, plan: FixPlan, opts: EvalOptions) -> Solution:
-    bnb_opts = BnbOptions(time_limit=opts.time_limit, gap_tol=opts.gap_tol)
+def _solve_restricted(
+    inst: Instance, plan: FixPlan, opts: EvalOptions, incumbent_y: tuple | None = None
+) -> Solution:
+    """The one exact solve behind every mode: cut rounds if asked, then B&B."""
+    bnb_opts = BnbOptions(
+        time_limit=opts.time_limit, gap_tol=opts.gap_tol, incumbent_y=incumbent_y
+    )
     if opts.ls_rounds > 0:
-        pool, _ = root_cut_loop(inst, opts.ls_rounds, plan=plan)
-        bnb_opts = replace(bnb_opts, extra_cuts=tuple(pool))
+        return solve_with_ls_cuts(inst, opts.ls_rounds, bnb_opts, plan)
     return branch_and_bound(inst, plan, bnb_opts)
 
 
@@ -217,25 +220,9 @@ def solve_with_warm_start(
     opts = opts or EvalOptions()
     t0 = time.perf_counter()
     pattern = repair_prediction(inst, pred)
-    bnb_opts = BnbOptions(
-        time_limit=opts.time_limit,
-        gap_tol=opts.gap_tol,
-        incumbent_y=tuple(int(v) for v in pattern),
-    )
-    if opts.ls_rounds > 0:
-        pool, _ = root_cut_loop(inst, opts.ls_rounds)
-        bnb_opts = replace(bnb_opts, extra_cuts=tuple(pool))
-    sol = branch_and_bound(inst, FixPlan.empty(), bnb_opts)
+    sol = _solve_restricted(inst, FixPlan.empty(), opts, tuple(int(v) for v in pattern))
     time_ml = time.perf_counter() - t0 + pred.predict_seconds
     return _finish_record(inst, MODE_WARM, 100.0, sol, 0, time_ml, opts)
-
-
-def incumbent_cost(inst: Instance, pattern) -> float:
-    """Cost of a feasible setup pattern, the warm start's upper bound."""
-    sol = solve_for_pattern(inst, pattern)
-    if sol is None:
-        raise ValidationError("pattern is infeasible")
-    return sol.objective
 
 
 def concat_predictions(model: BiLstmModel, inst_long: Instance, chunk_T: int) -> PredictionVector:

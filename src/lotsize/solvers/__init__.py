@@ -1,21 +1,54 @@
+from ..core import Instance, Solution
+from ..errors import ValidationError
 from .bnb import BnbOptions, branch_and_bound, repair_pattern
 from .brute import brute_force
-from .cuts import LsCut, root_cut_loop, separate_ls_cuts, solve_with_ls_cuts
+from .cuts import DEFAULT_ROUNDS, LsCut, root_cut_loop, separate_ls_cuts, solve_with_ls_cuts
 from .dp import solve_dp
 from .lp import LpSolution, LpWorkspace, compute_igap, solve_lp
 from .pattern import solve_for_pattern
 
+# Every exact backend, by the name the command line and scripts use.
+SOLVERS = ("bnb", "lscuts", "dp", "brute")
+
+
+def solve(
+    name: str,
+    inst: Instance,
+    opts: BnbOptions | None = None,
+    ls_rounds: int = DEFAULT_ROUNDS,
+) -> Solution:
+    """Solve ``inst`` with the named backend from ``SOLVERS``.
+
+    ``opts`` applies to the branch-and-bound backends (bnb, lscuts) and
+    ``ls_rounds`` to lscuts; dp and brute take no options.
+    """
+    # Backends are looked up by module-level name at call time, so a caller
+    # that rebinds e.g. ``branch_and_bound`` sees every solve.
+    if name == "bnb":
+        return branch_and_bound(inst, opts=opts)
+    if name == "lscuts":
+        return solve_with_ls_cuts(inst, ls_rounds, opts)
+    if name == "dp":
+        return solve_dp(inst)
+    if name == "brute":
+        return brute_force(inst)
+    raise ValidationError(f"unknown solver {name!r}; expected one of {', '.join(SOLVERS)}")
+
+
 __all__ = [
     "BnbOptions",
+    "DEFAULT_ROUNDS",
     "LpSolution",
     "LpWorkspace",
     "LsCut",
+    "SOLVERS",
     "branch_and_bound",
     "brute_force",
     "compute_igap",
     "repair_pattern",
     "root_cut_loop",
     "separate_ls_cuts",
+    "solve",
     "solve_dp",
     "solve_for_pattern",
     "solve_lp",

@@ -10,9 +10,18 @@ import pytest
 import lotsize
 from lotsize.cli import EXIT_USAGE, main
 
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def subprocess_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(lotsize.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +41,7 @@ class TestGen:
         assert {"meta.json", "train.jsonl", "val.jsonl", "test.jsonl", "manifest.json"} <= names
         manifest = json.loads((dataset_dir / "manifest.json").read_text())
         assert manifest["tool_version"]
+        assert manifest["command"][0] == "gen"
         assert set(manifest["artifacts"]) == {
             "meta.json", "train.jsonl", "val.jsonl", "test.jsonl"
         }
@@ -133,6 +143,16 @@ class TestTrainPredictEvaluateReport:
         level0 = [r for r in records if float(r["level_pct"]) == 0.0]
         assert all(float(r["optgap_pct"]) == pytest.approx(0.0, abs=1e-9) for r in level0)
 
+        # Bad evaluate input is a usage error, not a traceback.
+        short = tmp_path / "short.jsonl"
+        short.write_text("".join(
+            json.dumps({**r, "probs": r["probs"][:-1]}) + "\n" for r in rows))
+        assert run("evaluate", "--dataset", dataset_dir, "--probs", short,
+                   "--out", tmp_path / "bad_eval") == 2
+        assert run("evaluate", "--dataset", dataset_dir, "--probs",
+                   probs_dir / "probs.jsonl", "--mode", "bogus",
+                   "--out", tmp_path / "bad_eval") == 2
+
         rep_dir = tmp_path / "rep"
         assert run("report", "--records", eval_dir / "records.csv", "--out", rep_dir) == 0
         assert (rep_dir / "report.md").exists()
@@ -153,14 +173,11 @@ class TestTrainPredictEvaluateReport:
 
     def test_evaluate_rejects_jobs(self, dataset_dir, tmp_path):
         # evaluate runs in one process; a --jobs flag would be accepted and ignored.
-        src = str(Path(lotsize.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         proc = subprocess.run(
             [sys.executable, "-m", "lotsize.cli", "evaluate", "--dataset", str(dataset_dir),
              "--probs", str(tmp_path / "probs.jsonl"), "--jobs", "2",
              "--out", str(tmp_path / "eval")],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
         )
         assert proc.returncode == EXIT_USAGE
         assert "--jobs" in proc.stderr
@@ -197,8 +214,28 @@ class TestConfigFile:
         meta2 = json.loads((out2 / "meta.json").read_text())
         assert meta2["gen_params"]["seed"] == 13
 
-    def test_unknown_config_key_is_usage_error(self, tmp_path):
+    # jobs and oracle are options of other commands, not of the chosen one.
+    @pytest.mark.parametrize("command,line", [
+        ("gen", "bogus_key = 1"), ("evaluate", "jobs = 2"), ("solve", "oracle = dp"),
+    ], ids=["gen-bogus_key", "evaluate-jobs", "solve-oracle"])
+    def test_unknown_config_key_is_usage_error(self, command, line, dataset_dir, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("bogus_key = 1\n")
-        assert run("gen", "--config", cfg, "--c", 3, "--f", 100, "--T", 8,
-                   "--n", 10, "--out", tmp_path / "o") == 2
+        cfg.write_text(line + "\n")
+        flags = {
+            "gen": ["--c", 3, "--f", 100, "--T", 8, "--n", 10],
+            "evaluate": ["--dataset", dataset_dir, "--probs", tmp_path / "probs.jsonl"],
+            "solve": ["--dataset", dataset_dir, "--solver", "dp"],
+        }[command]
+        assert run(command, "--config", cfg, *flags, "--out", tmp_path / "o") == 2
+
+
+def test_scripts_print_help():
+    # Each script imports its names from the package at start-up.
+    scripts = sorted(SCRIPTS.glob("*.py"))
+    assert scripts
+    for script in scripts:
+        proc = subprocess.run(
+            [sys.executable, str(script), "--help"],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
+        )
+        assert proc.returncode == 0, f"{script.name}: {proc.stderr}"

@@ -12,7 +12,6 @@ from lotsize.pipeline import (
     PredictionVector,
     compute_metrics,
     concat_predictions,
-    incumbent_cost,
     repair_prediction,
     select_predictions,
     soft_fix_plan,
@@ -20,7 +19,7 @@ from lotsize.pipeline import (
     solve_with_soft_fix,
     solve_with_warm_start,
 )
-from lotsize.solvers import branch_and_bound, brute_force
+from lotsize.solvers import branch_and_bound, brute_force, solve_for_pattern
 
 from conftest import generated_instances
 
@@ -143,7 +142,7 @@ class TestWarmStart:
     def test_incumbent_upper_bounds_optimum(self, e1, rng):
         for _ in range(10):
             pattern = repair_prediction(e1, pred(rng.random(3)))
-            assert incumbent_cost(e1, pattern) >= 17.0 - 1e-9
+            assert solve_for_pattern(e1, pattern).objective >= 17.0 - 1e-9
 
     def test_optimal_incumbent_does_not_explore_more(self, e1):
         from lotsize.solvers import BnbOptions

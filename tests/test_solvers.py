@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lotsize import FixPlan, Instance, check_solution
-from lotsize.errors import ResourceLimitError
+from lotsize.errors import ResourceLimitError, ValidationError
 from lotsize.solvers import (
+    SOLVERS,
     BnbOptions,
     branch_and_bound,
     brute_force,
+    solve,
     solve_dp,
     solve_for_pattern,
     solve_lp,
@@ -186,29 +188,33 @@ class TestOracleAgreement:
     @given(seed=st.integers(0, 100_000))
     def test_three_way(self, seed):
         inst = random_small_instance(np.random.default_rng(seed))
-        bf = brute_force(inst)
-        dp = solve_dp(inst)
-        bb = branch_and_bound(inst)
-        statuses = {bf.status, dp.status, bb.status}
+        sols = {name: solve(name, inst) for name in SOLVERS}
+        statuses = {sol.status for sol in sols.values()}
         if "Infeasible" in statuses:
             assert statuses == {"Infeasible"}
         else:
-            assert dp.objective == pytest.approx(bf.objective, rel=1e-6)
-            assert bb.objective == pytest.approx(bf.objective, rel=1e-6)
+            for name, sol in sols.items():
+                assert sol.objective == pytest.approx(sols["brute"].objective, rel=1e-6), name
+
+    def test_unknown_name_is_rejected(self, e1):
+        with pytest.raises(ValidationError):
+            solve("nope", e1)
 
 
 class TestCutFreeBranchAndBound:
     @settings(max_examples=150, deadline=None)
     @given(inst=edge_instances())
     def test_matches_brute_force_and_dp(self, inst):
-        bb = branch_and_bound(inst)
-        bf = brute_force(inst)
-        dp = solve_dp(inst)
-        assert bb.status == bf.status == dp.status
+        # Every backend in the solver table, the (l,S) cut loop included.
+        sols = {name: solve(name, inst) for name in SOLVERS}
+        bf = sols["brute"]
+        for name, sol in sols.items():
+            assert sol.status == bf.status, name
+            if bf.status == "Optimal":
+                assert sol.objective == pytest.approx(bf.objective, rel=1e-9, abs=1e-9), name
+                assert check_solution(inst, sol) == [], name
+        bb = sols["bnb"]
         if bb.status == "Optimal":
-            assert bb.objective == pytest.approx(bf.objective, rel=1e-9, abs=1e-9)
-            assert bb.objective == pytest.approx(dp.objective, rel=1e-9, abs=1e-9)
-            assert check_solution(inst, bb) == []
             assert bb.stats.lp_solves == bb.stats.nodes_explored
 
     @settings(max_examples=150, deadline=None)
