@@ -7,13 +7,12 @@ infeasibility and optimality gap per fixing level.
 """
 
 import argparse
-import time
 from pathlib import Path
 
 from lotsize import GenParams, generate_instance
 from lotsize.nn import load_model
 from lotsize.pipeline import EvalOptions, PredictionVector, compute_metrics, concat_predictions, solve_with_hard_fix
-from lotsize.solvers import solve_dp
+from lotsize.solvers import BnbOptions, branch_and_bound
 
 
 def parse_args():
@@ -42,9 +41,10 @@ def main():
     records = {lv: [] for lv in levels}
     for i in range(args.n):
         inst = generate_instance(params, i)
-        oracle = solve_dp(inst)
+        # The plain solve is timed on the same solver stack as the ML solves.
+        plain = branch_and_bound(inst, opts=BnbOptions(ls_rounds=args.ls_rounds))
         pred = concat_predictions(model, inst, args.chunk_T)
-        opts = EvalOptions(ls_rounds=args.ls_rounds, baseline=oracle, instance_id=str(i))
+        opts = EvalOptions(ls_rounds=args.ls_rounds, baseline=plain, instance_id=str(i))
         for lv in levels:
             records[lv].append(solve_with_hard_fix(inst, pred, lv, opts))
     print(f"T={args.T} predicted with chunk_T={args.chunk_T} on {args.n} instances")

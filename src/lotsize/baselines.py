@@ -10,16 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .core import Instance, Solution
 from .errors import DivergenceError, ValidationError
-from .nn.lstm import sigmoid
 from .nn.standardize import Standardizer, instance_features, standardize_fit
 
 FEATURE_RECIPE = "period-v1"
-# Columns: standardized (p, f, cap, d), position t/T, mean standardized
-# demand, mean standardized capacity, cumulative demand ratio.
-N_FEATURES = 8
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,7 @@ def logistic_fit(
     b = 0.0
     for epoch in range(config.epochs):
         scores = X @ w + b
-        probs = sigmoid(scores)
+        probs = expit(scores)
         err = probs - y
         grad_w = X.T @ err / n + config.l2 * w
         grad_b = float(err.mean())
@@ -96,7 +93,7 @@ def logistic_fit(
 
 def logistic_loss(model: LogisticModel, pairs, l2: float = 0.0) -> float:
     X, y = _design(pairs, model.standardizer)
-    q = np.clip(sigmoid(X @ model.weights + model.bias), 1e-12, 1 - 1e-12)
+    q = np.clip(expit(X @ model.weights + model.bias), 1e-12, 1 - 1e-12)
     nll = float(-(y * np.log(q) + (1 - y) * np.log(1 - q)).mean())
     return nll + 0.5 * l2 * float(model.weights @ model.weights)
 
@@ -108,4 +105,4 @@ def logistic_predict(model: LogisticModel, inst: Instance) -> np.ndarray:
             f"model built with recipe {model.feature_recipe!r}, code expects {FEATURE_RECIPE!r}"
         )
     X = period_features(inst, model.standardizer)
-    return sigmoid(X @ model.weights + model.bias)
+    return expit(X @ model.weights + model.bias)

@@ -47,7 +47,7 @@ from .pipeline import (
     solve_with_warm_start,
 )
 from .report import figure_csvs, render_markdown
-from .solvers import SOLVERS, BnbOptions, solve
+from .solvers import SOLVERS, BnbOptions, branch_and_bound, solve
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -279,16 +279,20 @@ def cmd_evaluate(args, manifest: RunManifest) -> int:
             raise UsageError(f"level {lv} outside [0, 100]")
     modes = _modes(args.mode)
     ids = split_ids(args.split, len(split))
+    bnb_opts = BnbOptions(
+        time_limit=args.time_limit, gap_tol=args.gap_tol, ls_rounds=args.ls_rounds
+    )
     records = []
-    for iid, (inst, oracle_sol) in zip(ids, split):
+    for iid, (inst, _) in zip(ids, split):
         if iid not in probs:
             raise UsageError(f"probability file lacks an entry for {iid}")
         pred = PredictionVector(probs=np.array(probs[iid]), source=str(args.probs))
+        # Plain and ML solves share one solver stack; the oracle's time is not used.
         opts = EvalOptions(
             time_limit=args.time_limit,
             gap_tol=args.gap_tol,
             ls_rounds=args.ls_rounds,
-            baseline=oracle_sol,
+            baseline=branch_and_bound(inst, opts=bnb_opts),
             instance_id=iid,
         )
         for mode in modes:

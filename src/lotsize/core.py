@@ -114,9 +114,9 @@ class Instance:
 class SolveStats:
     """Work counters of one solve.
 
-    ``lp_solves`` counts relaxations solved: one per branch-and-bound node,
-    whether the node was bounded in closed form or by the LP solver, plus
-    one per root separation round.
+    ``lp_solves`` counts relaxations actually solved, in closed form or by
+    the LP solver: one per root cut round and one per node, the last round's
+    LP being the root node. A flow-infeasible or fully fixed plan solves none.
     """
 
     wall_time_seconds: float = 0.0
@@ -205,16 +205,10 @@ class FixPlan:
     def __bool__(self) -> bool:
         return bool(self.entries)
 
-    def items(self):
-        return sorted(self.entries.items())
-
     def validate_for(self, T: int) -> None:
         for t in self.entries:
             if t > T:
                 raise ValidationError(f"fix plan index {t} exceeds horizon {T}")
-
-    def zero_fixed(self) -> list[int]:
-        return sorted(t for t, v in self.entries.items() if v == 0)
 
 
 @dataclass(frozen=True)

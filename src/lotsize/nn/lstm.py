@@ -17,18 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from ..errors import DimensionError, ValidationError
 from .standardize import Standardizer
-
-
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 @dataclass
@@ -164,9 +156,9 @@ def _run_direction(params: DirectionParams, X: np.ndarray, reverse: bool) -> _Di
     order = np.arange(T)[::-1] if reverse else np.arange(T)
     for t in order:
         z = X[:, t] @ params.W.T + h @ params.U.T + params.b
-        i = sigmoid(z[:, :H])
-        f = sigmoid(z[:, H : 2 * H])
-        o = sigmoid(z[:, 2 * H : 3 * H])
+        i = expit(z[:, :H])
+        f = expit(z[:, H : 2 * H])
+        o = expit(z[:, 2 * H : 3 * H])
         g = np.tanh(z[:, 3 * H :])
         c = f * c + i * g
         tc = np.tanh(c)
@@ -253,7 +245,7 @@ def forward_batch(
         dropout_masks.append(mask)
         current = out
     logits = current @ model.head_w + float(model.head_b)
-    probs = sigmoid(logits)
+    probs = expit(logits)
     return _ForwardCache(
         direction_caches=direction_caches,
         dropout_masks=dropout_masks,

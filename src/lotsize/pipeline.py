@@ -35,12 +35,10 @@ from .errors import DimensionError, PartitionError, ValidationError
 from .nn.lstm import BiLstmModel, bilstm_forward
 from .nn.standardize import instance_features
 from .solvers.bnb import BnbOptions, branch_and_bound, repair_pattern
-from .solvers.cuts import solve_with_ls_cuts
 
 MODE_HARD = "hard"
 MODE_SOFT = "soft"
 MODE_WARM = "warm"
-MODE_PLAIN = "plain"
 
 DEFAULT_LEVELS = (0, 25, 50, 75, 85, 90, 95, 100)
 
@@ -117,10 +115,9 @@ def _solve_restricted(
 ) -> Solution:
     """The one exact solve behind every mode: cut rounds if asked, then B&B."""
     bnb_opts = BnbOptions(
-        time_limit=opts.time_limit, gap_tol=opts.gap_tol, incumbent_y=incumbent_y
+        time_limit=opts.time_limit, gap_tol=opts.gap_tol,
+        ls_rounds=opts.ls_rounds, incumbent_y=incumbent_y,
     )
-    if opts.ls_rounds > 0:
-        return solve_with_ls_cuts(inst, opts.ls_rounds, bnb_opts, plan)
     return branch_and_bound(inst, plan, bnb_opts)
 
 

@@ -1,8 +1,8 @@
 from ..core import Instance, Solution
 from ..errors import ValidationError
-from .bnb import BnbOptions, branch_and_bound, repair_pattern
+from .bnb import BnbOptions, branch_and_bound, repair_pattern, solve_with_ls_cuts
 from .brute import brute_force
-from .cuts import DEFAULT_ROUNDS, LsCut, root_cut_loop, separate_ls_cuts, solve_with_ls_cuts
+from .cuts import DEFAULT_ROUNDS, LsCut, root_cut_loop, separate_ls_cuts
 from .dp import solve_dp
 from .lp import LpSolution, LpWorkspace, compute_igap, solve_lp
 from .pattern import solve_for_pattern

@@ -1,15 +1,17 @@
-"""Branch and bound on the setup variables.
+"""Branch and bound on the setup variables, with optional root cut rounds.
 
-Without cut rows, every node is bounded in closed form by ``PathRelaxation``:
-the relaxation is then a transport problem on a path, which the production
-greedy of ``pattern.py`` solves exactly. With cut rows, nodes are solved by
-HiGHS through ``LpWorkspace``. Search is best-bound first with deterministic
-FIFO tie-breaking, branching on the most fractional setup variable (ties to
-the earliest period). Integer candidates are re-evaluated exactly with the
+The exact flow test runs first, and a plan that pins every setup is answered
+without a relaxation. Then ``BnbOptions.ls_rounds`` rounds of (l,S)
+separation (``cuts.root_cut_loop``) may tighten the root; the loop's last LP
+is the root node. With cut rows, nodes are solved by HiGHS through
+``LpWorkspace``; without, in closed form by ``PathRelaxation``, the production
+greedy of ``pattern.py``. Search is best-bound first with deterministic FIFO
+tie-breaking, branching on the most fractional setup variable (ties to the
+earliest period). Integer candidates are re-evaluated exactly with the
 fixed-pattern solver so incumbent objectives carry no LP round-off. A cheap
 rounding-and-repair heuristic at the root guarantees an incumbent exists
 whenever the instance is feasible, so a time-limited run always returns its
-best solution so far.
+best solution so far; the limit covers the cut rounds.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from ..core import (
     flow_feasible,
     infeasible_solution,
 )
+from ..errors import ValidationError
+from .cuts import DEFAULT_ROUNDS, SEPARATION_TOL, root_cut_loop
 from .lp import LP_INFEASIBLE, LP_OPTIMAL, LpWorkspace
 from .pattern import PathRelaxation, solve_for_pattern
 
@@ -41,9 +45,12 @@ INT_TOL = 1e-6
 class BnbOptions:
     time_limit: float | None = None
     gap_tol: float = 1e-9
-    extra_cuts: tuple = ()
+    ls_rounds: int = 0
     incumbent_y: tuple | None = None
-    root_heuristic: bool = True
+
+    def __post_init__(self):
+        if self.ls_rounds < 0:
+            raise ValidationError("ls_rounds must be non-negative")
 
 
 def repair_pattern(inst: Instance, open_flags, scores, allowed=None) -> np.ndarray | None:
@@ -94,43 +101,48 @@ def branch_and_bound(
     opts = opts or BnbOptions()
     t0 = time.perf_counter()
     fixed = dict(plan.entries)
+    pool: list = []
+    lp_solves = 0
+    nodes_explored = 0
 
-    if not opts.extra_cuts and not flow_feasible(inst, plan):
-        return infeasible_solution(
-            inst.T, SolveStats(wall_time_seconds=time.perf_counter() - t0)
+    def stats(**kwargs) -> SolveStats:
+        return SolveStats(
+            wall_time_seconds=time.perf_counter() - t0,
+            nodes_explored=nodes_explored,
+            lp_solves=lp_solves,
+            cuts_added=len(pool),
+            **kwargs,
         )
+
+    # Cuts never change feasibility, so the flow test decides it for any rounds.
+    if not flow_feasible(inst, plan):
+        return infeasible_solution(inst.T, stats())
 
     # Fast path: the plan pins every setup variable.
     if len(fixed) == inst.T:
         pattern = np.array([fixed[t + 1] for t in range(inst.T)], dtype=np.int64)
         sol = solve_for_pattern(inst, pattern)
-        elapsed = time.perf_counter() - t0
         if sol is None:
-            return infeasible_solution(inst.T, SolveStats(wall_time_seconds=elapsed))
-        return sol.with_stats(
-            SolveStats(wall_time_seconds=elapsed, mip_gap=0.0, cuts_added=len(opts.extra_cuts))
-        )
+            return infeasible_solution(inst.T, stats())
+        return sol.with_stats(stats(mip_gap=0.0))
 
-    relaxation = LpWorkspace(inst, opts.extra_cuts) if opts.extra_cuts else PathRelaxation(inst)
+    if opts.ls_rounds > 0:
+        pool, bounds, root = root_cut_loop(inst, opts.ls_rounds, SEPARATION_TOL, plan)
+        lp_solves = len(bounds)
+    if pool:
+        relaxation = LpWorkspace(inst, tuple(pool))
+    else:
+        relaxation = PathRelaxation(inst)
+        root = relaxation.solve(fixed)
+        lp_solves += 1
+    nodes_explored = 1
+    if root.status == LP_INFEASIBLE:
+        return infeasible_solution(inst.T, stats())
+
     incumbent: Solution | None = None
     if opts.incumbent_y is not None:
         incumbent = solve_for_pattern(inst, opts.incumbent_y)
-
-    counter = itertools.count()
-    nodes_explored = 0
-    root = relaxation.solve(fixed)
-    nodes_explored += 1
-    if root.status == LP_INFEASIBLE:
-        return infeasible_solution(
-            inst.T,
-            SolveStats(
-                wall_time_seconds=time.perf_counter() - t0,
-                lp_solves=nodes_explored,
-                nodes_explored=nodes_explored,
-                cuts_added=len(opts.extra_cuts),
-            ),
-        )
-    if opts.root_heuristic and incumbent is None:
+    if incumbent is None:
         incumbent = _root_incumbent(inst, fixed, root.y)
 
     def upper() -> float:
@@ -139,6 +151,7 @@ def branch_and_bound(
     def prune_bound(u: float) -> float:
         return u - max(opts.gap_tol * abs(u), 1e-12)
 
+    counter = itertools.count()
     heap: list[tuple[float, int, dict[int, int]]] = []
 
     def process(lp_sol, node_fixed: dict[int, int]) -> None:
@@ -176,22 +189,15 @@ def branch_and_bound(
             continue
         lp_sol = relaxation.solve(node_fixed)
         nodes_explored += 1
+        lp_solves += 1
         if lp_sol.status != LP_OPTIMAL:
             continue
         if lp_sol.objective >= prune_bound(upper()):
             continue
         process(lp_sol, node_fixed)
 
-    elapsed = time.perf_counter() - t0
-    stats = SolveStats(
-        wall_time_seconds=elapsed,
-        nodes_explored=nodes_explored,
-        lp_solves=nodes_explored,
-        mip_gap=None,
-        cuts_added=len(opts.extra_cuts),
-    )
     if incumbent is None:
-        base = infeasible_solution(inst.T, stats)
+        base = infeasible_solution(inst.T, stats())
         if status == STATUS_TIME_LIMIT:
             # Feasibility was never disproved; only the budget ran out.
             return replace(base, status=STATUS_TIME_LIMIT)
@@ -201,4 +207,14 @@ def branch_and_bound(
     else:
         u = upper()
         gap = max(0.0, (u - lower) / max(abs(u), 1e-12))
-    return replace(incumbent, status=status, stats=replace(stats, mip_gap=gap))
+    return replace(incumbent, status=status, stats=stats(mip_gap=gap))
+
+
+def solve_with_ls_cuts(
+    inst: Instance,
+    rounds: int = DEFAULT_ROUNDS,
+    opts: BnbOptions | None = None,
+    plan: FixPlan | None = None,
+) -> Solution:
+    """Branch and bound after ``rounds`` root cut rounds: ``solve("lscuts")``."""
+    return branch_and_bound(inst, plan, replace(opts or BnbOptions(), ls_rounds=rounds))

@@ -9,18 +9,18 @@ the inventory left at ``ell``:
 with ``d_{t,ell}`` the demand from ``t`` through ``ell``. The most violated
 subset for a given point keeps exactly the periods where ``x_t`` exceeds
 ``d_{t,ell} * y_t``, so separation is a linear scan per prefix.
+
+Branch and bound runs ``root_cut_loop`` when ``BnbOptions.ls_rounds > 0``.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import FixPlan, Instance, Solution, SolveStats
+from ..core import FixPlan, Instance
 from ..errors import ValidationError
-from .bnb import BnbOptions, branch_and_bound
 from .lp import LP_OPTIMAL, LpSolution, LpWorkspace
 
 SEPARATION_TOL = 1e-6
@@ -77,50 +77,29 @@ def root_cut_loop(
     rounds: int = DEFAULT_ROUNDS,
     tol: float = SEPARATION_TOL,
     plan: FixPlan | None = None,
-) -> tuple[list[LsCut], list[float]]:
-    """Iterate separation at the root; returns the pool and per-round bounds."""
+) -> tuple[list[LsCut], list[float], LpSolution]:
+    """Iterate separation at the root; returns the pool, the bounds and the root.
+
+    ``root`` is the last LP solved, always over the final pool; ``bounds[-1]``
+    is its objective when it is optimal. At most ``rounds + 1`` LPs are solved.
+    """
     if rounds < 1:
         raise ValidationError("at least one separation round is required")
-    plan = plan or FixPlan.empty()
+    fixed = dict((plan or FixPlan.empty()).entries)
     pool: list[LsCut] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
     bounds: list[float] = []
-    for _ in range(rounds):
-        lp = LpWorkspace(inst, tuple(pool)).solve(dict(plan.entries))
-        if lp.status != LP_OPTIMAL:
+    for k in range(rounds + 1):
+        root = LpWorkspace(inst, tuple(pool)).solve(fixed)
+        if root.status != LP_OPTIMAL:
             break
-        bounds.append(lp.objective)
-        fresh = [
-            c
-            for c in separate_ls_cuts(inst, lp, tol)
-            if (c.ell, c.set_S) not in seen
-        ]
+        bounds.append(root.objective)
+        if k == rounds:
+            break
+        fresh = [c for c in separate_ls_cuts(inst, root, tol) if (c.ell, c.set_S) not in seen]
         if not fresh:
             break
         for c in fresh:
             seen.add((c.ell, c.set_S))
         pool.extend(fresh)
-    return pool, bounds
-
-
-def solve_with_ls_cuts(
-    inst: Instance,
-    rounds: int = DEFAULT_ROUNDS,
-    opts: BnbOptions | None = None,
-    plan: FixPlan | None = None,
-) -> Solution:
-    """Root cutting loop followed by branch and bound over the cut pool."""
-    t0 = time.perf_counter()
-    opts = opts or BnbOptions()
-    pool, bounds = root_cut_loop(inst, rounds, SEPARATION_TOL, plan)
-    sol = branch_and_bound(inst, plan, replace(opts, extra_cuts=tuple(pool)))
-    stats = sol.stats
-    return sol.with_stats(
-        SolveStats(
-            wall_time_seconds=time.perf_counter() - t0,
-            nodes_explored=stats.nodes_explored,
-            lp_solves=stats.lp_solves + len(bounds),
-            mip_gap=stats.mip_gap,
-            cuts_added=len(pool),
-        )
-    )
+    return pool, bounds, root

@@ -103,11 +103,11 @@ class LpWorkspace:
         )
 
 
-def solve_lp(inst: Instance, plan: FixPlan | None = None, extra_cuts=()) -> LpSolution:
+def solve_lp(inst: Instance, plan: FixPlan | None = None) -> LpSolution:
     """Exact optimum of the relaxation with 0 <= y <= 1 and plan fixings."""
     plan = plan or FixPlan.empty()
     plan.validate_for(inst.T)
-    return LpWorkspace(inst, extra_cuts).solve(dict(plan.entries))
+    return LpWorkspace(inst).solve(dict(plan.entries))
 
 
 def compute_igap(mip_obj: float, lp_obj: float) -> float:

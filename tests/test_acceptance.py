@@ -211,7 +211,7 @@ def test_criterion_4_cut_validity_and_bound():
     strict_improvements = 0
     for i in range(100):
         inst = generate_instance(params, i)
-        pool, bounds = root_cut_loop(inst, rounds=5)
+        pool, bounds, _ = root_cut_loop(inst, rounds=5)
         opt = branch_and_bound(inst)
         for cut in pool:
             if cut.violation(opt.x, opt.y, opt.s) > 1e-6:
@@ -343,8 +343,7 @@ def test_criterion_8_generalization(trained):
     # root cuts keep the T=80 solves tractable without affecting status.
     agree_ok = True
     for inst, plan in zip(instances[:3], plans[:3]):
-        pool, _ = root_cut_loop(inst, rounds=5, plan=plan)
-        sol = branch_and_bound(inst, plan, BnbOptions(extra_cuts=tuple(pool)))
+        sol = branch_and_bound(inst, plan, BnbOptions(ls_rounds=5))
         if (sol.status == "Infeasible") != (not flow_feasible(inst, plan)):
             agree_ok = False
     inf_pct = 100.0 * infeasible / len(instances)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -170,6 +171,26 @@ class TestTrainPredictEvaluateReport:
         assert {"instance_id", "mode", "level_pct", "status", "z_star", "z_tilde",
                 "time_plain_s", "time_ml_s", "k_fixed", "optgap_pct",
                 "c_ratio", "f_ratio", "T"} == set(records[0])
+
+    def test_plain_time_is_measured_not_stored(self, dataset_dir, tmp_path):
+        # evaluate times the plain solve on the ML solves' stack; the oracle
+        # time stored in the dataset must not reach the records.
+        slow = tmp_path / "slow"
+        shutil.copytree(dataset_dir, slow)
+        rows = [json.loads(l) for l in (slow / "test.jsonl").read_text().splitlines()]
+        for row in rows:
+            row["solution"]["time"] = 1e6
+        (slow / "test.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        probs_dir = tmp_path / "lr"
+        assert run("predict", "--dataset", slow, "--baseline", "logistic",
+                   "--out", probs_dir) == 0
+        assert run("evaluate", "--dataset", slow, "--probs", probs_dir / "probs.jsonl",
+                   "--levels", "0", "--mode", "hard,warm", "--out", tmp_path / "eval") == 0
+        records = list(csv.DictReader(open(tmp_path / "eval" / "records.csv")))
+        assert len(records) == 2 * len(rows)
+        assert all(float(r["time_plain_s"]) < 1e6 for r in records)
+        for r, row in zip(records[::2], rows):
+            assert float(r["z_star"]) == pytest.approx(row["solution"]["objective"], rel=1e-9)
 
     def test_evaluate_rejects_jobs(self, dataset_dir, tmp_path):
         # evaluate runs in one process; a --jobs flag would be accepted and ignored.

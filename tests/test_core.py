@@ -120,7 +120,3 @@ class TestFixPlan:
     def test_rejects_zero_index(self):
         with pytest.raises(ValidationError):
             FixPlan({0: 1})
-
-    def test_zero_fixed_listing(self):
-        plan = FixPlan({3: 0, 1: 1, 2: 0})
-        assert plan.zero_fixed() == [2, 3]

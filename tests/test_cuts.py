@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lotsize import Instance
+from lotsize import FixPlan, Instance
+from lotsize.errors import ValidationError
 from lotsize.solvers import (
+    BnbOptions,
+    LpWorkspace,
     branch_and_bound,
     brute_force,
     root_cut_loop,
@@ -18,6 +21,7 @@ from lotsize.solvers import (
 )
 from lotsize.solvers.cuts import LsCut
 from lotsize.solvers.lp import LpSolution, LP_OPTIMAL
+from lotsize.solvers.pattern import PathRelaxation
 
 from conftest import generated_instances, random_small_instance
 
@@ -94,7 +98,7 @@ class TestSeparation:
 class TestCutValidity:
     def test_mip_optimum_satisfies_all_cuts(self):
         for inst in generated_instances(15, seed=21, T=8):
-            pool, _ = root_cut_loop(inst, rounds=5)
+            pool, _, _ = root_cut_loop(inst, rounds=5)
             opt = branch_and_bound(inst)
             for cut in pool:
                 assert cut.violation(opt.x, opt.y, opt.s) <= 1e-6
@@ -103,13 +107,22 @@ class TestCutValidity:
 class TestRootLoop:
     def test_bound_monotone(self):
         for inst in generated_instances(10, seed=22, T=8):
-            _, bounds = root_cut_loop(inst, rounds=5)
+            _, bounds, _ = root_cut_loop(inst, rounds=5)
             assert all(b2 >= b1 - 1e-7 for b1, b2 in zip(bounds, bounds[1:]))
+
+    def test_ends_on_the_final_pool(self):
+        for rounds in (1, 2, 5):
+            for inst in generated_instances(10, seed=22, T=8):
+                pool, bounds, root = root_cut_loop(inst, rounds=rounds)
+                assert 1 <= len(bounds) <= rounds + 1
+                assert root.objective == bounds[-1]
+                final = LpWorkspace(inst, tuple(pool)).solve({})
+                assert final.objective == pytest.approx(root.objective, rel=1e-9)
 
     def test_cuts_improve_some_root(self):
         improved = 0
         for inst in generated_instances(10, seed=23, T=8):
-            _, bounds = root_cut_loop(inst, rounds=5)
+            _, bounds, _ = root_cut_loop(inst, rounds=5)
             if len(bounds) > 1 and bounds[-1] > bounds[0] + 1e-7:
                 improved += 1
         assert improved > 0
@@ -131,3 +144,42 @@ class TestSolveWithCuts:
             assert solve_with_ls_cuts(inst).objective == pytest.approx(
                 branch_and_bound(inst).objective, rel=1e-9
             )
+
+
+class TestRelaxationsSolvedOnce:
+    """Branch and cut solves each relaxation once and counts what it solves."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Every relaxation solved, keyed by its rows and its fixings."""
+        calls = []
+        for cls in (LpWorkspace, PathRelaxation):
+            def counted(self, fixed=None, _solve=cls.solve):
+                rows = getattr(self, "A_ub", np.empty(0)).tobytes()
+                calls.append((type(self).__name__, rows, tuple(sorted((fixed or {}).items()))))
+                return _solve(self, fixed)
+
+            monkeypatch.setattr(cls, "solve", counted)
+        return calls
+
+    def test_fixed_and_flow_infeasible_plans_solve_none(self, e1, solves):
+        for plan in (FixPlan({1: 1, 2: 1, 3: 0}), FixPlan({2: 0})):
+            sol = branch_and_bound(e1, plan, BnbOptions(ls_rounds=5))
+            assert solves == []
+            assert sol.stats.lp_solves == 0
+        assert sol.status == "Infeasible"
+
+    def test_no_relaxation_solved_twice(self, solves):
+        rng = np.random.default_rng(26)
+        for inst in generated_instances(12, seed=26, T=8):
+            fixed = rng.choice(np.arange(1, inst.T + 1), size=3, replace=False)
+            for plan in (FixPlan.empty(), FixPlan({int(t): 1 for t in fixed})):
+                for rounds in (1, 5):
+                    solves.clear()
+                    sol = solve_with_ls_cuts(inst, rounds, plan=plan)
+                    assert len(set(solves)) == len(solves)
+                    assert sol.stats.lp_solves == len(solves)
+
+    def test_negative_rounds_rejected(self):
+        with pytest.raises(ValidationError):
+            BnbOptions(ls_rounds=-1)

@@ -144,15 +144,6 @@ class TestWarmStart:
             pattern = repair_prediction(e1, pred(rng.random(3)))
             assert solve_for_pattern(e1, pattern).objective >= 17.0 - 1e-9
 
-    def test_optimal_incumbent_does_not_explore_more(self, e1):
-        from lotsize.solvers import BnbOptions
-
-        cold = branch_and_bound(e1, opts=BnbOptions(root_heuristic=False))
-        warm = branch_and_bound(
-            e1, opts=BnbOptions(root_heuristic=False, incumbent_y=(1, 1, 0))
-        )
-        assert warm.stats.nodes_explored <= cold.stats.nodes_explored
-
 
 class TestRepairPrediction:
     def test_deficit_opens_period_two(self, e1):

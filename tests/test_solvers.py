@@ -156,10 +156,8 @@ class TestBranchAndBound:
         assert branch_and_bound(e1, FixPlan({2: 0})).status == "Infeasible"
 
     def test_warm_incumbent_prunes(self, e1):
-        cold = branch_and_bound(e1, opts=BnbOptions(root_heuristic=False))
-        warm = branch_and_bound(
-            e1, opts=BnbOptions(root_heuristic=False, incumbent_y=(1, 1, 0))
-        )
+        cold = branch_and_bound(e1)
+        warm = branch_and_bound(e1, opts=BnbOptions(incumbent_y=(1, 1, 0)))
         assert warm.objective == pytest.approx(cold.objective)
         assert warm.stats.nodes_explored <= cold.stats.nodes_explored
 
