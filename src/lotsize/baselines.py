@@ -15,6 +15,7 @@ from scipy.special import expit
 from .core import Instance, Solution
 from .errors import DivergenceError, ValidationError
 from .nn.standardize import Standardizer, instance_features, standardize_fit
+from .nn.train import bce_loss
 
 FEATURE_RECIPE = "period-v1"
 
@@ -93,8 +94,7 @@ def logistic_fit(
 
 def logistic_loss(model: LogisticModel, pairs, l2: float = 0.0) -> float:
     X, y = _design(pairs, model.standardizer)
-    q = np.clip(expit(X @ model.weights + model.bias), 1e-12, 1 - 1e-12)
-    nll = float(-(y * np.log(q) + (1 - y) * np.log(1 - q)).mean())
+    nll = bce_loss(y, expit(X @ model.weights + model.bias))
     return nll + 0.5 * l2 * float(model.weights @ model.weights)
 
 

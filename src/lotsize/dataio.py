@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -41,6 +42,15 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+@contextmanager
+def _entry(path: Path, lineno: int):
+    """Report a malformed entry as a ValidationError naming ``path:line``."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"{path}:{lineno}: malformed entry: {exc!r}") from exc
+
+
 def write_dataset(dataset: Dataset, path: str | Path) -> Path:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -66,27 +76,30 @@ def read_dataset(path: str | Path) -> Dataset:
     meta_path = path / "meta.json"
     if not meta_path.exists():
         raise FileNotFoundError(f"no dataset at {path} (missing meta.json)")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    with _entry(meta_path, 1):
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        gen_params = GenParams.from_dict(meta["gen_params"])
+        fractions = tuple(meta.get("split_fractions", (0.64, 0.16, 0.20)))
     splits = {}
     for name, fname in SPLIT_FILES.items():
         pairs = []
         fpath = path / fname
         if fpath.exists():
             with open(fpath, encoding="utf-8") as fh:
-                for line in fh:
+                for lineno, line in enumerate(fh, 1):
                     if not line.strip():
                         continue
-                    row = json.loads(line)
-                    inst = Instance.from_dict(row["instance"])
-                    sol = Solution.from_dict(row["solution"], status=STATUS_OPTIMAL)
+                    with _entry(fpath, lineno):
+                        row = json.loads(line)
+                        inst = Instance.from_dict(row["instance"])
+                        sol = Solution.from_dict(row["solution"], status=STATUS_OPTIMAL)
                     pairs.append((inst, sol))
         splits[name] = pairs
-    fractions = tuple(meta.get("split_fractions", (0.64, 0.16, 0.20)))
     return Dataset(
         train=splits["train"],
         validation=splits["val"],
         test=splits["test"],
-        gen_params=GenParams.from_dict(meta["gen_params"]),
+        gen_params=gen_params,
         split_fractions=fractions,
         provenance={"oracle": meta.get("oracle", ""), "n": meta.get("n")},
     )
@@ -114,11 +127,12 @@ def read_probabilities(path: str | Path) -> dict[str, list[float]]:
         raise FileNotFoundError(f"no probability file at {path}")
     out: dict[str, list[float]] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            row = json.loads(line)
-            out[row["instance_id"]] = row["probs"]
+            with _entry(path, lineno):
+                row = json.loads(line)
+                out[row["instance_id"]] = [float(v) for v in row["probs"]]
     return out
 
 
@@ -151,23 +165,24 @@ def read_records_csv(path: str | Path) -> list[EvalRecord]:
         if reader.fieldnames is None or set(RECORD_COLUMNS) - set(reader.fieldnames):
             raise UsageError(f"records file {path} does not carry the expected columns")
         for row in reader:
-            records.append(
-                EvalRecord(
-                    instance_id=row["instance_id"],
-                    mode=row["mode"],
-                    level_pct=float(row["level_pct"]),
-                    status=row["status"],
-                    z_star=float(row["z_star"]) if row["z_star"] else None,
-                    z_tilde=float(row["z_tilde"]) if row["z_tilde"] else None,
-                    time_plain_s=float(row["time_plain_s"]),
-                    time_ml_s=float(row["time_ml_s"]),
-                    k_fixed=int(row["k_fixed"]),
-                    optgap_pct=float(row["optgap_pct"]) if row["optgap_pct"] else None,
-                    c_ratio=float(row["c_ratio"]) if row["c_ratio"] else None,
-                    f_ratio=float(row["f_ratio"]) if row["f_ratio"] else None,
-                    T=int(row["T"]) if row["T"] else None,
+            with _entry(path, reader.line_num):
+                records.append(
+                    EvalRecord(
+                        instance_id=row["instance_id"],
+                        mode=row["mode"],
+                        level_pct=float(row["level_pct"]),
+                        status=row["status"],
+                        z_star=float(row["z_star"]) if row["z_star"] else None,
+                        z_tilde=float(row["z_tilde"]) if row["z_tilde"] else None,
+                        time_plain_s=float(row["time_plain_s"]),
+                        time_ml_s=float(row["time_ml_s"]),
+                        k_fixed=int(row["k_fixed"]),
+                        optgap_pct=float(row["optgap_pct"]) if row["optgap_pct"] else None,
+                        c_ratio=float(row["c_ratio"]) if row["c_ratio"] else None,
+                        f_ratio=float(row["f_ratio"]) if row["f_ratio"] else None,
+                        T=int(row["T"]) if row["T"] else None,
+                    )
                 )
-            )
     if not records:
         raise ValidationError(f"records file {path} is empty")
     return records

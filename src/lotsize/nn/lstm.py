@@ -1,12 +1,14 @@
 """Bidirectional LSTM stack built on numpy, with exact backpropagation.
 
-Each layer runs one LSTM chain forward in time and one backward, and feeds
-the next layer the per-period concatenation ``[h_fwd; h_bwd]``. Gates use the
-standard cell recurrences with gate order (input, forget, output, candidate)
-inside the stacked weight matrices. A dropout layer follows every
-bidirectional layer during training (inverted scaling, identity at
-inference), and an affine head plus sigmoid maps the final concatenation to
-one probability per period.
+Each layer runs one LSTM chain over the sequence and a second chain, with
+its own weights, over the sequence flipped in time; the second chain's
+states are flipped back and the next layer gets the per-period
+concatenation ``[h_fwd; h_bwd]``. One recurrence serves both directions.
+Gates use the standard cell recurrences, stacked in the weight matrices as
+(input, forget, output, candidate). Dropout with inverted scaling follows
+every bidirectional layer when, and only when, the caller passes an
+``rng``. An affine head plus sigmoid maps the final concatenation to one
+probability per period.
 
 Everything is float64 so analytic gradients can be checked against central
 finite differences at tight tolerances.
@@ -51,7 +53,6 @@ class BiLstmModel:
     input_size: int
     dropout_rate: float
     standardizer: Standardizer | None = None
-    training_mode: bool = False
 
     @property
     def layer_count(self) -> int:
@@ -102,7 +103,7 @@ class BiLstmModel:
         )
 
     def parameters(self) -> dict[str, np.ndarray]:
-        """Named parameters in the documented fixed order."""
+        """Named parameters in the documented fixed sequence."""
         out: dict[str, np.ndarray] = {}
         for i, layer in enumerate(self.layers):
             for tag, block in (("fwd", layer.fwd), ("bwd", layer.bwd)):
@@ -128,12 +129,11 @@ class BiLstmModel:
 
 @dataclass
 class _DirectionCache:
-    X: np.ndarray
+    X: np.ndarray  # (B, T, in_dim) inputs as the chain reads them
     gates: np.ndarray  # (B, T, 4H) activated gate values
     c: np.ndarray  # (B, T, H) cell states
     tanh_c: np.ndarray
     h: np.ndarray
-    order: np.ndarray  # time indices in processing order
 
 
 @dataclass
@@ -144,74 +144,65 @@ class _ForwardCache:
     probs: np.ndarray
 
 
-def _run_direction(params: DirectionParams, X: np.ndarray, reverse: bool) -> _DirectionCache:
-    B, T, _ = X.shape
+def _run_chain(params: DirectionParams, X: np.ndarray) -> _DirectionCache:
+    """One LSTM chain over t = 0..T-1; the input projection runs before the loop."""
+    B, T, in_dim = X.shape
     H = params.hidden
-    gates = np.zeros((B, T, 4 * H))
-    cs = np.zeros((B, T, H))
-    tanh_cs = np.zeros((B, T, H))
-    hs = np.zeros((B, T, H))
+    Z = (X.reshape(B * T, in_dim) @ params.W.T + params.b).reshape(B, T, 4 * H)
+    UT = params.U.T
+    gates = np.empty((B, T, 4 * H))
+    cs = np.empty((B, T, H))
+    tanh_cs = np.empty((B, T, H))
+    hs = np.empty((B, T, H))
     h = np.zeros((B, H))
     c = np.zeros((B, H))
-    order = np.arange(T)[::-1] if reverse else np.arange(T)
-    for t in order:
-        z = X[:, t] @ params.W.T + h @ params.U.T + params.b
-        i = expit(z[:, :H])
-        f = expit(z[:, H : 2 * H])
-        o = expit(z[:, 2 * H : 3 * H])
-        g = np.tanh(z[:, 3 * H :])
+    for t in range(T):
+        z = Z[:, t] + h @ UT
+        gate = gates[:, t]
+        expit(z[:, : 3 * H], out=gate[:, : 3 * H])
+        np.tanh(z[:, 3 * H :], out=gate[:, 3 * H :])
+        i, f, o, g = gate[:, :H], gate[:, H : 2 * H], gate[:, 2 * H : 3 * H], gate[:, 3 * H :]
         c = f * c + i * g
         tc = np.tanh(c)
         h = o * tc
-        gates[:, t] = np.concatenate([i, f, o, g], axis=1)
         cs[:, t] = c
         tanh_cs[:, t] = tc
         hs[:, t] = h
-    return _DirectionCache(X=X, gates=gates, c=cs, tanh_c=tanh_cs, h=hs, order=order)
+    return _DirectionCache(X=X, gates=gates, c=cs, tanh_c=tanh_cs, h=hs)
 
 
-def _direction_backward(
+def _chain_backward(
     params: DirectionParams, cache: _DirectionCache, dH: np.ndarray
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Exact gradient through one chain; returns grads and dL/dX."""
-    B, T, _ = cache.X.shape
+    B, T, in_dim = cache.X.shape
     H = params.hidden
-    dW = np.zeros_like(params.W)
-    dU = np.zeros_like(params.U)
-    db = np.zeros_like(params.b)
-    dX = np.zeros_like(cache.X)
+    dZ = np.empty((B, T, 4 * H))
     dh_carry = np.zeros((B, H))
     dc_carry = np.zeros((B, H))
-    order = cache.order
-    for idx in range(T - 1, -1, -1):
-        t = order[idx]
-        t_prev = order[idx - 1] if idx > 0 else None
-        i = cache.gates[:, t, :H]
-        f = cache.gates[:, t, H : 2 * H]
-        o = cache.gates[:, t, 2 * H : 3 * H]
-        g = cache.gates[:, t, 3 * H :]
+    for t in range(T - 1, -1, -1):
+        gate = cache.gates[:, t]
+        i, f, o, g = gate[:, :H], gate[:, H : 2 * H], gate[:, 2 * H : 3 * H], gate[:, 3 * H :]
         tc = cache.tanh_c[:, t]
-        c_prev = cache.c[:, t_prev] if t_prev is not None else np.zeros((B, H))
-        h_prev = cache.h[:, t_prev] if t_prev is not None else np.zeros((B, H))
-
+        c_prev = cache.c[:, t - 1] if t > 0 else np.zeros((B, H))
         dh = dH[:, t] + dh_carry
         do = dh * tc
         dc = dh * o * (1.0 - tc * tc) + dc_carry
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
+        dz = dZ[:, t]
+        dz[:, :H] = dc * g * i * (1 - i)
+        dz[:, H : 2 * H] = dc * c_prev * f * (1 - f)
+        dz[:, 2 * H : 3 * H] = do * o * (1 - o)
+        dz[:, 3 * H :] = dc * i * (1 - g * g)
         dc_carry = dc * f
-
-        dz = np.concatenate(
-            [di * i * (1 - i), df * f * (1 - f), do * o * (1 - o), dg * (1 - g * g)],
-            axis=1,
-        )
-        dW += dz.T @ cache.X[:, t]
-        dU += dz.T @ h_prev
-        db += dz.sum(axis=0)
-        dX[:, t] += dz @ params.W
         dh_carry = dz @ params.U
-    return {"W": dW, "U": dU, "b": db}, dX
+    dZ_rows = dZ.reshape(B * T, 4 * H)
+    h_prev = np.concatenate([np.zeros((B, 1, H)), cache.h[:, :-1]], axis=1)
+    grads = {
+        "W": dZ_rows.T @ cache.X.reshape(B * T, in_dim),
+        "U": dZ_rows.T @ h_prev.reshape(B * T, H),
+        "b": dZ_rows.sum(axis=0),
+    }
+    return grads, (dZ_rows @ params.W).reshape(B, T, in_dim)
 
 
 def forward_batch(
@@ -219,23 +210,23 @@ def forward_batch(
 ) -> _ForwardCache:
     """Probabilities for a (B, T, input_size) batch, caching for backprop.
 
-    Dropout fires only when the model is in training mode and an ``rng`` is
-    supplied; masks are sampled per example, period and unit.
+    Dropout fires if and only if an ``rng`` is passed and the rate is
+    positive; masks are sampled per example, period and unit.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3 or X.shape[2] != model.input_size:
         raise DimensionError(
             f"expected batch of shape (B, T, {model.input_size}), got {X.shape}"
         )
-    use_dropout = model.training_mode and rng is not None and model.dropout_rate > 0.0
+    use_dropout = rng is not None and model.dropout_rate > 0.0
     keep = 1.0 - model.dropout_rate
     direction_caches = []
     dropout_masks: list[np.ndarray | None] = []
     current = X
     for layer in model.layers:
-        fwd = _run_direction(layer.fwd, current, reverse=False)
-        bwd = _run_direction(layer.bwd, current, reverse=True)
-        out = np.concatenate([fwd.h, bwd.h], axis=2)
+        fwd = _run_chain(layer.fwd, current)
+        bwd = _run_chain(layer.bwd, current[:, ::-1])
+        out = np.concatenate([fwd.h, bwd.h[:, ::-1]], axis=2)
         if use_dropout:
             mask = (rng.random(out.shape) < keep).astype(np.float64) / keep
             out = out * mask
@@ -270,12 +261,12 @@ def backward_batch(
             dcurrent = dcurrent * mask
         fwd_cache, bwd_cache = cache.direction_caches[i]
         layer = model.layers[i]
-        dfwd, dX_f = _direction_backward(layer.fwd, fwd_cache, dcurrent[:, :, :H])
-        dbwd, dX_b = _direction_backward(layer.bwd, bwd_cache, dcurrent[:, :, H:])
+        dfwd, dX_f = _chain_backward(layer.fwd, fwd_cache, dcurrent[:, :, :H])
+        dbwd, dX_b = _chain_backward(layer.bwd, bwd_cache, dcurrent[:, ::-1, H:])
         for tag, block_grads in (("fwd", dfwd), ("bwd", dbwd)):
             for name, g in block_grads.items():
                 grads[f"layer{i}.{tag}.{name}"] = g
-        dcurrent = dX_f + dX_b
+        dcurrent = dX_f + dX_b[:, ::-1]
     return grads
 
 
@@ -286,13 +277,7 @@ def bilstm_forward(model: BiLstmModel, features: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"expected features of shape (T, {model.input_size}), got {features.shape}"
         )
-    was_training = model.training_mode
-    model.training_mode = False
-    try:
-        cache = forward_batch(model, features[None, :, :])
-    finally:
-        model.training_mode = was_training
-    return cache.probs[0]
+    return forward_batch(model, features[None, :, :]).probs[0]
 
 
 def predict_instance(model: BiLstmModel, inst) -> np.ndarray:
@@ -302,43 +287,3 @@ def predict_instance(model: BiLstmModel, inst) -> np.ndarray:
     if model.standardizer is None:
         raise ValidationError("model has no standardizer attached")
     return bilstm_forward(model, model.standardizer.transform(instance_features(inst)))
-
-
-def reversed_twin(model: BiLstmModel) -> BiLstmModel:
-    """Model that maps reversed inputs to the reversed outputs of ``model``.
-
-    Swaps the two direction blocks of every layer, swaps the halves of the
-    input weight columns for layers fed by a concatenation, and swaps the
-    halves of the head weights.
-    """
-    H = model.width
-
-    def swap_cols(W: np.ndarray, is_inner: bool) -> np.ndarray:
-        if not is_inner:
-            return W.copy()
-        return np.concatenate([W[:, H:], W[:, :H]], axis=1)
-
-    layers = []
-    for i, layer in enumerate(model.layers):
-        inner = i > 0
-        layers.append(
-            LayerParams(
-                fwd=DirectionParams(
-                    W=swap_cols(layer.bwd.W, inner), U=layer.bwd.U.copy(), b=layer.bwd.b.copy()
-                ),
-                bwd=DirectionParams(
-                    W=swap_cols(layer.fwd.W, inner), U=layer.fwd.U.copy(), b=layer.fwd.b.copy()
-                ),
-            )
-        )
-    head_w = np.concatenate([model.head_w[H:], model.head_w[:H]])
-    return BiLstmModel(
-        layers=layers,
-        head_w=head_w,
-        head_b=model.head_b.copy(),
-        width=model.width,
-        input_size=model.input_size,
-        dropout_rate=model.dropout_rate,
-        standardizer=model.standardizer,
-        training_mode=False,
-    )

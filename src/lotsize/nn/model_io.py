@@ -116,5 +116,4 @@ def load_model(path: str | Path) -> BiLstmModel:
     if set(params) != set(expected):
         raise ModelFormatError("tensor list does not cover the declared architecture")
     model.set_parameters(params)
-    model.training_mode = False
     return model

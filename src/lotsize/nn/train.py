@@ -3,13 +3,15 @@
 Training minimizes mean binary cross-entropy with Adam. Per epoch the loop
 records the training loss and validation accuracy, keeps the parameters of
 the best validation epoch, and stops early after a patience window without
-improvement. Everything is deterministic given the config seed.
+improvement. Dropout applies only to the training batches, because only
+they are run with an ``rng``; validation and inference pass none.
+Everything is deterministic given the config seed.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,8 +35,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValidationError("learning rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValidationError("learning rate must be finite and positive")
+        if self.max_epochs < 1:
+            raise ValidationError("max epochs must be at least 1")
         if self.batch_size < 1:
             raise ValidationError("batch size must be at least 1")
 
@@ -58,16 +62,13 @@ def batch_loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean loss over a (B, T, F) batch and exact gradients for it.
 
-    Dropout masks, when active, are sampled here and held fixed for the
-    backward pass, so the gradients are exact for the masked loss.
+    Dropout masks, sampled from ``rng`` when one is passed, are held fixed
+    for the backward pass, so the gradients are exact for the masked loss.
     """
-    X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    B, T = Y.shape
     cache = forward_batch(model, X, rng)
-    q = np.clip(cache.probs, PROB_CLIP, 1.0 - PROB_CLIP)
-    loss = float(-(Y * np.log(q) + (1.0 - Y) * np.log(1.0 - q)).mean())
-    dlogits = (q - Y) / (B * T)
+    loss = bce_loss(Y, cache.probs)
+    dlogits = (np.clip(cache.probs, PROB_CLIP, 1.0 - PROB_CLIP) - Y) / Y.size
     grads = backward_batch(model, cache, dlogits)
     return loss, grads
 
@@ -136,15 +137,10 @@ def accuracy_on_arrays(model: BiLstmModel, X: np.ndarray, Y: np.ndarray, chunk: 
     """Fraction of correctly predicted (instance, period) pairs."""
     if len(X) == 0:
         raise ValidationError("accuracy requires a non-empty split")
-    was_training = model.training_mode
-    model.training_mode = False
     hits = 0
-    try:
-        for start in range(0, len(X), chunk):
-            cache = forward_batch(model, X[start : start + chunk])
-            hits += int((predictions_to_labels(cache.probs) == Y[start : start + chunk]).sum())
-    finally:
-        model.training_mode = was_training
+    for start in range(0, len(X), chunk):
+        cache = forward_batch(model, X[start : start + chunk])
+        hits += int((predictions_to_labels(cache.probs) == Y[start : start + chunk]).sum())
     return hits / Y.size
 
 
@@ -159,7 +155,7 @@ def pairs_to_arrays(
         raise ValidationError("all instances in a split must share one horizon")
     feats = np.stack([instance_features(inst) for inst, _ in pairs])
     if standardizer is not None:
-        feats = (feats - standardizer.mean) / standardizer.std
+        feats = standardizer.transform(feats)
     labels = np.stack([sol.y for _, sol in pairs]).astype(np.int64)
     return feats, labels
 
@@ -182,38 +178,34 @@ def train(
     best_epoch = -1
     best_params = model.copy_parameters()
     t_start = time.perf_counter()
-    model.training_mode = True
-    try:
-        for epoch in range(config.max_epochs):
-            t_epoch = time.perf_counter()
-            order = rng.permutation(n)
-            total_loss = 0.0
-            for start in range(0, n, config.batch_size):
-                idx = order[start : start + config.batch_size]
-                loss, grads = batch_loss_and_grads(model, X_train[idx], Y_train[idx], rng)
-                if not np.isfinite(loss):
-                    raise DivergenceError(f"non-finite training loss at epoch {epoch}")
-                params, state = adam_step(model.parameters(), grads, state, config)
-                model.set_parameters(params)
-                total_loss += loss * len(idx)
-            train_loss = total_loss / n
-            val_acc = accuracy_on_arrays(model, *val_data)
-            history.append(
-                EpochStats(
-                    epoch=epoch,
-                    train_loss=train_loss,
-                    val_accuracy=val_acc,
-                    seconds=time.perf_counter() - t_epoch,
-                )
+    for epoch in range(config.max_epochs):
+        t_epoch = time.perf_counter()
+        order = rng.permutation(n)
+        total_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            loss, grads = batch_loss_and_grads(model, X_train[idx], Y_train[idx], rng)
+            if not np.isfinite(loss):
+                raise DivergenceError(f"non-finite training loss at epoch {epoch}")
+            params, state = adam_step(model.parameters(), grads, state, config)
+            model.set_parameters(params)
+            total_loss += loss * len(idx)
+        train_loss = total_loss / n
+        val_acc = accuracy_on_arrays(model, *val_data)
+        history.append(
+            EpochStats(
+                epoch=epoch,
+                train_loss=train_loss,
+                val_accuracy=val_acc,
+                seconds=time.perf_counter() - t_epoch,
             )
-            if val_acc > best_acc:
-                best_acc = val_acc
-                best_epoch = epoch
-                best_params = model.copy_parameters()
-            elif epoch - best_epoch >= config.early_stop_patience:
-                break
-    finally:
-        model.training_mode = False
+        )
+        if val_acc > best_acc:
+            best_acc = val_acc
+            best_epoch = epoch
+            best_params = model.copy_parameters()
+        elif epoch - best_epoch >= config.early_stop_patience:
+            break
     model.set_parameters(best_params)
     return TrainResult(
         model=model,
@@ -221,73 +213,3 @@ def train(
         best_epoch=best_epoch,
         total_seconds=time.perf_counter() - t_start,
     )
-
-
-@dataclass(frozen=True)
-class HyperPoint:
-    layers: int
-    units: int
-    dropout: float
-    learning_rate: float
-
-
-TUNE_RANGES = {
-    "layers": (2, 6),
-    "units": (10, 150),
-    "dropout": (0.1, 0.5),
-    "learning_rate": (0.001, 0.1),
-}
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    point: HyperPoint
-    val_accuracy: float
-    best_epoch: int
-
-
-def tune_hyperparameters(
-    grid: list[HyperPoint],
-    train_data: tuple[np.ndarray, np.ndarray],
-    val_data: tuple[np.ndarray, np.ndarray],
-    config: TrainConfig,
-    standardizer: Standardizer | None = None,
-    input_size: int = 4,
-) -> tuple[BiLstmModel, list[TrialResult]]:
-    """Train one model per grid point, return the best by validation accuracy.
-
-    Ties resolve to the earliest grid point. Grid points outside the
-    documented search ranges are rejected.
-    """
-    if not grid:
-        raise ValidationError("hyperparameter grid is empty")
-    for pt in grid:
-        for name, value in (
-            ("layers", pt.layers),
-            ("units", pt.units),
-            ("dropout", pt.dropout),
-            ("learning_rate", pt.learning_rate),
-        ):
-            lo, hi = TUNE_RANGES[name]
-            if not lo <= value <= hi:
-                raise ValidationError(f"{name}={value} outside search range [{lo}, {hi}]")
-    best_model: BiLstmModel | None = None
-    best_acc = -1.0
-    trials: list[TrialResult] = []
-    for pt in grid:
-        model = BiLstmModel.initialize(
-            layer_count=pt.layers,
-            width=pt.units,
-            dropout_rate=pt.dropout,
-            input_size=input_size,
-            seed=config.seed,
-            standardizer=standardizer,
-        )
-        result = train(model, train_data, val_data, replace(config, learning_rate=pt.learning_rate))
-        acc = max(e.val_accuracy for e in result.history)
-        trials.append(TrialResult(point=pt, val_accuracy=acc, best_epoch=result.best_epoch))
-        if acc > best_acc:
-            best_acc = acc
-            best_model = result.model
-    assert best_model is not None
-    return best_model, trials

@@ -84,12 +84,18 @@ def select_predictions(pred: PredictionVector, level_pct: float, inst: Instance)
     return FixPlan(entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EvalOptions:
+    """Solver settings of the ML solves, and the caller's plain solve.
+
+    ``baseline`` is the unrestricted solve of the same instance on the same
+    solver stack; its objective is z* and its wall time the plain time.
+    """
+
     time_limit: float | None = None
     gap_tol: float = 1e-9
     ls_rounds: int = 0
-    baseline: Solution | None = None
+    baseline: Solution
     instance_id: str = ""
 
 
@@ -121,14 +127,6 @@ def _solve_restricted(
     return branch_and_bound(inst, plan, bnb_opts)
 
 
-def _baseline_solution(inst: Instance, opts: EvalOptions) -> tuple[Solution, float]:
-    if opts.baseline is not None:
-        return opts.baseline, opts.baseline.stats.wall_time_seconds
-    t0 = time.perf_counter()
-    sol = _solve_restricted(inst, FixPlan.empty(), opts)
-    return sol, time.perf_counter() - t0
-
-
 def _finish_record(
     inst: Instance,
     mode: str,
@@ -138,7 +136,7 @@ def _finish_record(
     time_ml: float,
     opts: EvalOptions,
 ) -> EvalRecord:
-    baseline, time_plain = _baseline_solution(inst, opts)
+    baseline = opts.baseline
     z_star = baseline.objective if baseline.status != STATUS_INFEASIBLE else None
     feasible = sol.status != STATUS_INFEASIBLE
     z_tilde = sol.objective if feasible else None
@@ -153,7 +151,7 @@ def _finish_record(
         status=sol.status,
         z_star=z_star,
         z_tilde=z_tilde,
-        time_plain_s=time_plain,
+        time_plain_s=baseline.stats.wall_time_seconds,
         time_ml_s=time_ml,
         k_fixed=plan_size,
         optgap_pct=optgap,
@@ -164,10 +162,9 @@ def _finish_record(
 
 
 def solve_with_hard_fix(
-    inst: Instance, pred: PredictionVector, level_pct: float, opts: EvalOptions | None = None
+    inst: Instance, pred: PredictionVector, level_pct: float, opts: EvalOptions
 ) -> EvalRecord:
     """Pin the level's fix plan as constraints and re-solve."""
-    opts = opts or EvalOptions()
     t0 = time.perf_counter()
     plan = select_predictions(pred, level_pct, inst)
     sol = _solve_restricted(inst, plan, opts)
@@ -190,10 +187,9 @@ def soft_fix_plan(inst: Instance, pred: PredictionVector) -> FixPlan:
 
 
 def solve_with_soft_fix(
-    inst: Instance, pred: PredictionVector, opts: EvalOptions | None = None
+    inst: Instance, pred: PredictionVector, opts: EvalOptions
 ) -> EvalRecord:
     """Full-level fixing with progressive unfixing of closed periods."""
-    opts = opts or EvalOptions()
     t0 = time.perf_counter()
     plan = soft_fix_plan(inst, pred)
     sol = _solve_restricted(inst, plan, opts)
@@ -211,10 +207,9 @@ def repair_prediction(inst: Instance, pred: PredictionVector) -> np.ndarray:
 
 
 def solve_with_warm_start(
-    inst: Instance, pred: PredictionVector, opts: EvalOptions | None = None
+    inst: Instance, pred: PredictionVector, opts: EvalOptions
 ) -> EvalRecord:
     """Exact solve seeded with the repaired prediction as incumbent."""
-    opts = opts or EvalOptions()
     t0 = time.perf_counter()
     pattern = repair_prediction(inst, pred)
     sol = _solve_restricted(inst, FixPlan.empty(), opts, tuple(int(v) for v in pattern))

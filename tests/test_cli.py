@@ -204,6 +204,12 @@ class TestTrainPredictEvaluateReport:
         assert "--jobs" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    # One epoch: a NaN step would only surface as divergence at the second.
+    @pytest.mark.parametrize("flags", [("--epochs", 0), ("--lr", "nan", "--epochs", 1)],
+                             ids=["epochs0", "lr-nan"])
+    def test_bad_train_config_is_usage_error(self, flags, dataset_dir, tmp_path):
+        assert run("train", "--dataset", dataset_dir, *flags, "--out", tmp_path / "m") == 2
+
     def test_predict_without_source_is_usage_error(self, dataset_dir, tmp_path):
         assert run("predict", "--dataset", dataset_dir, "--out", tmp_path / "x") == 2
 
@@ -220,6 +226,52 @@ class TestTrainPredictEvaluateReport:
                         + bytes(raw[len(MAGIC) + 8 + header_len :]))
         assert run("predict", "--dataset", dataset_dir, "--model", bad,
                    "--out", tmp_path / "y") == 4
+
+
+RECORD_ROW = "test-000000,3,100.0,8,hard,50.0,Optimal,{z},17.0,0.01,0.005,4,0.0\n"
+
+
+def _corrupt(kind: str, dataset_dir: Path, tmp: Path) -> list:
+    """Write an input file whose line 2 is malformed; return the command reading it."""
+    good_probs = json.dumps({"instance_id": "test-000000", "probs": [0.5] * 8})
+    probs = tmp / "probs.jsonl"
+    evaluate = ["evaluate", "--dataset", dataset_dir, "--probs", probs, "--out", tmp / "o"]
+    if kind.startswith("probs"):
+        probs.write_text(good_probs + "\n" + {
+            "probs-truncated": good_probs[:-5] + "\n",
+            "probs-string": json.dumps({"instance_id": "test-000000", "probs": [0.5, "a"]}) + "\n",
+            "probs-missing": json.dumps({"instance_id": "test-000000"}) + "\n",
+        }[kind])
+        return evaluate
+    if kind == "dataset-truncated":
+        ds = tmp / "ds"
+        shutil.copytree(dataset_dir, ds)
+        lines = (ds / "test.jsonl").read_text().splitlines(keepends=True)
+        lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
+        (ds / "test.jsonl").write_text("".join(lines))
+        return ["solve", "--dataset", ds, "--solver", "dp", "--out", tmp / "o"]
+    from lotsize.dataio import RECORD_COLUMNS
+
+    row = {"records-truncated": RECORD_ROW.format(z=17.0)[:30] + "\n",
+           "records-z-star": RECORD_ROW.format(z="abc")}[kind]
+    records = tmp / "records.csv"
+    records.write_text(",".join(RECORD_COLUMNS) + "\n" + row + RECORD_ROW.format(z=17.0))
+    return ["report", "--records", records, "--out", tmp / "o"]
+
+
+@pytest.mark.parametrize("kind", [
+    "probs-truncated", "probs-string", "probs-missing",
+    "dataset-truncated", "records-truncated", "records-z-star",
+])
+def test_malformed_input_file_is_usage_error(kind, dataset_dir, tmp_path):
+    argv = _corrupt(kind, dataset_dir, tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lotsize.cli", *map(str, argv)],
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert ":2: malformed entry" in proc.stderr
 
 
 class TestConfigFile:

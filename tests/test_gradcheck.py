@@ -3,16 +3,13 @@
 import numpy as np
 import pytest
 
-from lotsize.nn import BiLstmModel, batch_loss_and_grads, forward_batch
-from lotsize.nn.train import PROB_CLIP
+from lotsize.nn import BiLstmModel, batch_loss_and_grads, bce_loss, forward_batch
 
 FD_STEP = 1e-5
 
 
 def _forward_loss(model, X, Y) -> float:
-    probs = forward_batch(model, X).probs
-    q = np.clip(probs, PROB_CLIP, 1.0 - PROB_CLIP)
-    return float(-(Y * np.log(q) + (1.0 - Y) * np.log(1.0 - q)).mean())
+    return bce_loss(Y, forward_batch(model, X).probs)
 
 
 def finite_difference_check(model, X, Y, step=FD_STEP):
@@ -22,9 +19,7 @@ def finite_difference_check(model, X, Y, step=FD_STEP):
     carry ~1e-12 absolute rounding noise in float64, so gradients below that
     floor agree or disagree only within measurement noise.
     """
-    model.training_mode = True
     _, analytic = batch_loss_and_grads(model, X, Y)
-    model.training_mode = False
     base = model.copy_parameters()
 
     def loss_with(params):
@@ -74,9 +69,7 @@ class TestGradients:
         X = rng.normal(size=(1, 4, 4))
         probs = forward_batch(model, X).probs
         Y = (probs >= 0.5).astype(float)
-        model.training_mode = True
         _, grads = batch_loss_and_grads(model, X, Y)
-        model.training_mode = False
         norm = np.sqrt(sum(float(np.sum(np.square(g))) for g in grads.values()))
         assert norm < 1e-6
 
@@ -87,12 +80,10 @@ class TestGradients:
         )
         x = rng.normal(size=(1, 5, 4))
         y = rng.integers(0, 2, size=(1, 5)).astype(float)
-        model.training_mode = True
         _, single = batch_loss_and_grads(model, x, y)
         _, doubled = batch_loss_and_grads(
             model, np.concatenate([x, x]), np.concatenate([y, y])
         )
-        model.training_mode = False
         for k in single:
             assert np.allclose(single[k], doubled[k], atol=1e-12)
 
@@ -103,7 +94,6 @@ class TestGradients:
         )
         X = rng.normal(size=(3, 5, 4))
         Y = rng.integers(0, 2, size=(3, 5)).astype(float)
-        model.training_mode = True
         loss0, grads = batch_loss_and_grads(model, X, Y)
         norm = np.sqrt(sum(float(np.sum(np.square(g))) for g in grads.values()))
         assert norm > 1e-8
@@ -113,5 +103,4 @@ class TestGradients:
         }
         model.set_parameters(stepped)
         loss1, _ = batch_loss_and_grads(model, X, Y)
-        model.training_mode = False
         assert loss1 < loss0

@@ -4,12 +4,51 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lotsize.errors import DimensionError
-from lotsize.nn import BiLstmModel, bilstm_forward, reversed_twin
+from lotsize.nn import BiLstmModel, DirectionParams, LayerParams, bilstm_forward, forward_batch
 
 
 def small_model(layers=2, width=3, seed=7, dropout=0.0):
     return BiLstmModel.initialize(
         layer_count=layers, width=width, dropout_rate=dropout, input_size=4, seed=seed
+    )
+
+
+def reversed_twin(model: BiLstmModel) -> BiLstmModel:
+    """Model that maps reversed inputs to the reversed outputs of ``model``.
+
+    Swaps the two direction blocks of every layer, swaps the halves of the
+    input weight columns for layers fed by a concatenation, and swaps the
+    halves of the head weights.
+    """
+    H = model.width
+
+    def swap_cols(W: np.ndarray, is_inner: bool) -> np.ndarray:
+        if not is_inner:
+            return W.copy()
+        return np.concatenate([W[:, H:], W[:, :H]], axis=1)
+
+    layers = []
+    for i, layer in enumerate(model.layers):
+        inner = i > 0
+        layers.append(
+            LayerParams(
+                fwd=DirectionParams(
+                    W=swap_cols(layer.bwd.W, inner), U=layer.bwd.U.copy(), b=layer.bwd.b.copy()
+                ),
+                bwd=DirectionParams(
+                    W=swap_cols(layer.fwd.W, inner), U=layer.fwd.U.copy(), b=layer.fwd.b.copy()
+                ),
+            )
+        )
+    head_w = np.concatenate([model.head_w[H:], model.head_w[:H]])
+    return BiLstmModel(
+        layers=layers,
+        head_w=head_w,
+        head_b=model.head_b.copy(),
+        width=model.width,
+        input_size=model.input_size,
+        dropout_rate=model.dropout_rate,
+        standardizer=model.standardizer,
     )
 
 
@@ -39,12 +78,15 @@ class TestForward:
         b = bilstm_forward(model, feats)
         assert np.array_equal(a, b)
 
-    def test_training_mode_flag_does_not_leak_into_inference(self, rng):
+    def test_dropout_only_with_rng(self, rng):
+        feats = rng.normal(size=(3, 6, 4))
         model = small_model(dropout=0.4)
-        feats = rng.normal(size=(6, 4))
-        reference = bilstm_forward(model, feats)
-        model.training_mode = True
-        assert np.array_equal(bilstm_forward(model, feats), reference)
+        plain = forward_batch(model, feats).probs
+        assert not np.array_equal(forward_batch(model, feats, np.random.default_rng(1)).probs, plain)
+        assert np.array_equal(bilstm_forward(model, feats[0]), plain[0])
+        model = small_model(dropout=0.0)
+        plain = forward_batch(model, feats).probs
+        assert np.array_equal(forward_batch(model, feats, np.random.default_rng(1)).probs, plain)
 
 
 class TestReversalSymmetry:

@@ -34,7 +34,6 @@ class TestRoundTrip:
         assert loaded.dropout_rate == 0.2
         assert np.array_equal(loaded.standardizer.mean, model.standardizer.mean)
         assert np.array_equal(loaded.standardizer.std, model.standardizer.std)
-        assert loaded.training_mode is False
 
     def test_forward_identical(self, model, tmp_path, rng):
         path = save_model(model, tmp_path / "model.bin")

@@ -28,6 +28,11 @@ def pred(probs):
     return PredictionVector(probs=np.array(probs, dtype=float))
 
 
+def plain(inst):
+    """Options carrying the caller's unrestricted solve of ``inst``."""
+    return EvalOptions(baseline=branch_and_bound(inst))
+
+
 class TestSelectPredictions:
     def test_two_thirds_level(self, e1):
         plan = select_predictions(pred([0.9, 0.2, 0.6]), 67.0, e1)
@@ -77,19 +82,19 @@ class TestSelectPredictions:
 
 class TestHardFix:
     def test_optimal_prediction_zero_gap(self, e1):
-        record = solve_with_hard_fix(e1, pred([0.9, 0.8, 0.1]), 100.0)
+        record = solve_with_hard_fix(e1, pred([0.9, 0.8, 0.1]), 100.0, plain(e1))
         assert record.status == "Optimal"
         assert record.z_star == pytest.approx(17.0)
         assert record.optgap_pct == pytest.approx(0.0, abs=1e-9)
 
     def test_forced_closure_infeasible(self, e1):
-        record = solve_with_hard_fix(e1, pred([0.9, 0.05, 0.6]), 67.0)
+        record = solve_with_hard_fix(e1, pred([0.9, 0.05, 0.6]), 67.0, plain(e1))
         assert record.status == "Infeasible"
         assert record.z_tilde is None
         assert record.optgap_pct is None
 
     def test_level_zero_matches_plain(self, e1):
-        record = solve_with_hard_fix(e1, pred([0.1, 0.1, 0.9]), 0.0)
+        record = solve_with_hard_fix(e1, pred([0.1, 0.1, 0.9]), 0.0, plain(e1))
         assert record.k_fixed == 0
         assert record.z_tilde == pytest.approx(record.z_star)
 
@@ -101,6 +106,11 @@ class TestHardFix:
         assert record.instance_id == "x"
         assert record.z_star == pytest.approx(17.0)
 
+    def test_baseline_is_required(self):
+        # The plain solve is the caller's: no record re-solves it.
+        with pytest.raises(TypeError):
+            EvalOptions(ls_rounds=3)
+
 
 class TestSoftFix:
     def test_progressive_unfix_trace(self, e1):
@@ -108,33 +118,33 @@ class TestSoftFix:
         # closed period 3 drops first, still infeasible, then period 2.
         plan = soft_fix_plan(e1, pred([0.9, 0.1, 0.2]))
         assert plan.entries == {1: 1}
-        record = solve_with_soft_fix(e1, pred([0.9, 0.1, 0.2]))
+        record = solve_with_soft_fix(e1, pred([0.9, 0.1, 0.2]), plain(e1))
         assert record.status == "Optimal"
         assert record.z_tilde == pytest.approx(17.0)
         assert record.optgap_pct == pytest.approx(0.0, abs=1e-9)
 
     def test_no_zero_fixes_equals_hard_full(self, e1):
         probs = [0.9, 0.8, 0.7]
-        soft = solve_with_soft_fix(e1, pred(probs))
-        hard = solve_with_hard_fix(e1, pred(probs), 100.0)
+        soft = solve_with_soft_fix(e1, pred(probs), plain(e1))
+        hard = solve_with_hard_fix(e1, pred(probs), 100.0, plain(e1))
         assert soft.status == hard.status
         if soft.z_tilde is not None:
             assert soft.z_tilde == pytest.approx(hard.z_tilde)
 
     def test_optimal_prediction(self, e1):
-        record = solve_with_soft_fix(e1, pred([0.9, 0.8, 0.1]))
+        record = solve_with_soft_fix(e1, pred([0.9, 0.8, 0.1]), plain(e1))
         assert record.optgap_pct == pytest.approx(0.0, abs=1e-9)
 
     def test_never_infeasible_on_generated(self):
         for inst in generated_instances(10, seed=51, T=8):
             rng = np.random.default_rng(int(inst.d.sum()))
-            record = solve_with_soft_fix(inst, pred(rng.random(inst.T)))
+            record = solve_with_soft_fix(inst, pred(rng.random(inst.T)), plain(inst))
             assert record.status != "Infeasible"
 
 
 class TestWarmStart:
     def test_exact_regardless_of_prediction(self, e1):
-        record = solve_with_warm_start(e1, pred([0.1, 0.1, 0.9]))
+        record = solve_with_warm_start(e1, pred([0.1, 0.1, 0.9]), plain(e1))
         assert record.status == "Optimal"
         assert record.z_tilde == pytest.approx(17.0)
         assert record.optgap_pct == pytest.approx(0.0, abs=1e-9)

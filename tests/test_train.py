@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from lotsize.errors import DivergenceError, ValidationError
+from lotsize.errors import DivergenceError
 from lotsize.nn import (
     AdamState,
     BiLstmModel,
-    HyperPoint,
     TrainConfig,
     accuracy_on_arrays,
     adam_step,
     bce_loss,
     train,
-    tune_hyperparameters,
 )
 
 
@@ -157,47 +155,3 @@ class TestValidationAccuracy:
         )
         model.set_parameters({k: np.zeros_like(v) for k, v in model.parameters().items()})
         assert accuracy_on_arrays(model, X, Y) == pytest.approx(Y.mean())
-
-
-class TestTuning:
-    def test_argmax_and_tie_break(self):
-        X, Y = toy_data(12, 4, seed=6)
-        grid = [
-            HyperPoint(layers=2, units=10, dropout=0.1, learning_rate=0.001),
-            HyperPoint(layers=2, units=12, dropout=0.1, learning_rate=0.05),
-        ]
-        config = TrainConfig(batch_size=6, max_epochs=3, seed=6)
-        best, trials = tune_hyperparameters(grid, (X, Y), (X, Y), config)
-        accs = [t.val_accuracy for t in trials]
-        expected = trials[int(np.argmax(accs))]
-        assert best.width == expected.point.units
-
-    def test_single_point(self):
-        X, Y = toy_data(10, 4, seed=7)
-        grid = [HyperPoint(layers=2, units=10, dropout=0.1, learning_rate=0.01)]
-        best, trials = tune_hyperparameters(
-            grid, (X, Y), (X, Y), TrainConfig(batch_size=5, max_epochs=2, seed=7)
-        )
-        assert len(trials) == 1
-        assert best.layer_count == 2
-
-    def test_reference_point_representable(self):
-        point = HyperPoint(layers=3, units=40, dropout=0.3, learning_rate=0.01)
-        from lotsize.nn.train import TUNE_RANGES
-
-        assert TUNE_RANGES["layers"][0] <= point.layers <= TUNE_RANGES["layers"][1]
-        assert TUNE_RANGES["units"][0] <= point.units <= TUNE_RANGES["units"][1]
-        assert TUNE_RANGES["dropout"][0] <= point.dropout <= TUNE_RANGES["dropout"][1]
-        lo, hi = TUNE_RANGES["learning_rate"]
-        assert lo <= point.learning_rate <= hi
-
-    def test_out_of_range_rejected(self):
-        X, Y = toy_data(10, 4, seed=8)
-        grid = [HyperPoint(layers=1, units=10, dropout=0.1, learning_rate=0.01)]
-        with pytest.raises(ValidationError):
-            tune_hyperparameters(grid, (X, Y), (X, Y), TrainConfig(seed=8))
-
-    def test_empty_grid_rejected(self):
-        X, Y = toy_data(10, 4, seed=9)
-        with pytest.raises(ValidationError):
-            tune_hyperparameters([], (X, Y), (X, Y), TrainConfig(seed=9))
