@@ -2,7 +2,6 @@
 
 from .core import (
     FEAS_TOL,
-    STATUS_FEASIBLE,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_TIME_LIMIT,
@@ -21,7 +20,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FEAS_TOL",
-    "STATUS_FEASIBLE",
     "STATUS_INFEASIBLE",
     "STATUS_OPTIMAL",
     "STATUS_TIME_LIMIT",

@@ -2,12 +2,13 @@
 
 Every command writes its outputs plus a run manifest into ``--out``; the
 manifest's ``command`` is the argument list ``main`` received. ``gen
---oracle`` and ``solve --solver`` take any name in ``solvers.SOLVERS``. A
-config file of ``key = value`` lines (``--config FILE``) pre-sets long
-flags of the chosen command: each line becomes ``--key=value`` ahead of the
-explicit flags, which therefore win, and a key the command does not define
-is a usage error. Exit codes: 0 success, 2 usage, 3 missing input, 4
-format mismatch, 5 resource limits.
+--oracle`` and ``solve --solver`` take any name in ``solvers.SOLVERS``; a
+solver flag the chosen backend does not read is a usage error. A config file
+of ``key = value`` lines (``--config FILE``) pre-sets long flags of the
+chosen command: each line becomes ``--key=value`` ahead of the explicit
+flags, which therefore win, and a key the command does not define is a usage
+error. Exit codes: 0 success, 2 usage, 3 missing input, 4 format mismatch,
+5 resource limits.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .pipeline import (
     solve_with_warm_start,
 )
 from .report import figure_csvs, render_markdown
-from .solvers import SOLVERS, BnbOptions, branch_and_bound, solve
+from .solvers import DEFAULT_ROUNDS, SOLVERS, BnbOptions, branch_and_bound, solve
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -177,12 +178,17 @@ def cmd_gen(args, manifest: RunManifest) -> int:
 
 def cmd_solve(args, manifest: RunManifest) -> int:
     _check_solver(args.solver, "--solver")
+    reads = {"bnb": ("time_limit", "gap_tol"), "lscuts": ("time_limit", "gap_tol", "ls_rounds")}
+    for name in ("time_limit", "gap_tol", "ls_rounds"):
+        if getattr(args, name) is not None and name not in reads.get(args.solver, ()):
+            raise UsageError(f"--solver {args.solver} does not read --{name.replace('_', '-')}")
     _, split = _read_split(args)
+    gap_tol = BnbOptions.gap_tol if args.gap_tol is None else args.gap_tol
     solver = functools.partial(
         solve,
         args.solver,
-        opts=BnbOptions(time_limit=args.time_limit, gap_tol=args.gap_tol),
-        ls_rounds=args.ls_rounds,
+        opts=BnbOptions(time_limit=args.time_limit, gap_tol=gap_tol),
+        ls_rounds=DEFAULT_ROUNDS if args.ls_rounds is None else args.ls_rounds,
     )
     pool = _pool_map(args.jobs)
     try:
@@ -247,6 +253,8 @@ def cmd_train(args, manifest: RunManifest) -> int:
 
 
 def cmd_predict(args, manifest: RunManifest) -> int:
+    if (args.model is None) == (args.baseline is None):
+        raise UsageError("predict takes exactly one of --model FILE and --baseline logistic")
     dataset, split = _read_split(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -256,13 +264,11 @@ def cmd_predict(args, manifest: RunManifest) -> int:
         for inst, _ in split:
             rows.append(logistic_predict(model, inst))
         source = "logistic"
-    elif args.model:
+    else:
         model = load_model(args.model)
         for inst, _ in split:
             rows.append(predict_instance(model, inst))
         source = f"bilstm-L{model.layer_count}W{model.width}"
-    else:
-        raise UsageError("predict requires --model FILE or --baseline logistic")
     probs_path = out / "probs.jsonl"
     write_probabilities(probs_path, split_ids(args.split, len(split)), rows, source)
     manifest.finish(out, [probs_path])
@@ -353,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--solver", required=True, help=", ".join(SOLVERS))
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
-    p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--gap-tol", type=float, default=1e-9)
-    p.add_argument("--ls-rounds", type=int, default=5)
+    p.add_argument("--time-limit", type=float, default=None, help="bnb, lscuts")
+    p.add_argument("--gap-tol", type=float, default=None, help="bnb, lscuts")
+    p.add_argument("--ls-rounds", type=int, default=None, help="lscuts")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
@@ -376,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="emit setup probabilities for a split")
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", default=None, help="weight file from 'train'")
-    p.add_argument("--baseline", default=None, help="'logistic' fits the baseline on the fly")
+    p.add_argument("--baseline", choices=("logistic",), help="fit this baseline on the fly")
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 
 STATUS_OPTIMAL = "Optimal"
-STATUS_FEASIBLE = "Feasible"
 STATUS_INFEASIBLE = "Infeasible"
 STATUS_TIME_LIMIT = "TimeLimit"
 

@@ -80,11 +80,6 @@ def desk_params(c_ratio: int, f_ratio: float, T: int = 20, seed: int = 0) -> Gen
     return GenParams(c_ratio=c_ratio, f_ratio=f_ratio, T=T, demand_range=(1, 60), seed=seed)
 
 
-def benchmark_params(c_ratio: int, f_ratio: float, T: int, seed: int = 0) -> GenParams:
-    """Full-scale preset matching the benchmark distribution (d in [1, 600])."""
-    return GenParams(c_ratio=c_ratio, f_ratio=f_ratio, T=T, seed=seed)
-
-
 def generate_instance(
     params: GenParams, draw_index: int, max_attempts: int = REDRAW_BUDGET
 ) -> Instance:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ModelFormatError
+from ..errors import ModelFormatError, ValidationError
 from .lstm import BiLstmModel
 from .standardize import Standardizer
 
@@ -72,13 +72,19 @@ def load_model(path: str | Path) -> BiLstmModel:
         raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
     if raw[: len(MAGIC)] != MAGIC:
         raise ModelFormatError(f"{path} is not a model weight file")
+    # Any failure to parse the header or the tensors means a corrupt file.
+    try:
+        return _decode(raw)
+    except (struct.error, KeyError, TypeError, ValueError, AttributeError, OverflowError,
+            ValidationError) as exc:
+        raise ModelFormatError(f"corrupt model file {path}: {exc!r}") from exc
+
+
+def _decode(raw: bytes) -> BiLstmModel:
     offset = len(MAGIC)
     (header_len,) = struct.unpack_from("<Q", raw, offset)
     offset += 8
-    try:
-        header = json.loads(raw[offset : offset + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"corrupt header in {path}") from exc
+    header = json.loads(raw[offset : offset + header_len].decode("utf-8"))
     offset += header_len
     if header.get("format_version") != FORMAT_VERSION:
         raise ModelFormatError(

@@ -1,10 +1,18 @@
 """Forward dynamic program over (period, ending inventory) states.
 
-Exact for integer demand and capacity. Inventory states are bounded above by
-the remaining demand (plus any initial stock that cannot yet have been
-consumed), which gives the classical O(T * D^2) transition count where D is
-the total demand. The per-period transition table is vectorized over
-(new state, previous state) pairs.
+The classical lot-sizing recursion (Florian & Klein 1971), exact for integer
+demand and capacity. ``F_t(i)`` is the least cost of periods 1..t ending with
+inventory ``i``. With ``k = i + d_t`` and production cost ``f_t [q > 0] + p_t q``::
+
+    F_t(i) = h_t i + min(F_{t-1}(k),
+                         f_t + p_t k + min_{k - cap_t <= j <= k} (F_{t-1}(j) - p_t j))
+
+so each period is a shift plus one trailing-window minimum of width
+``cap_t``. Inventory is bounded by the remaining demand plus initial stock not
+yet drawn down: O(T * D) time and memory for total demand D, with the stored
+``F_t`` capped at ``DP_STATE_BUDGET`` states before anything is allocated.
+Tie rule: among equal-cost plans, carry the least inventory into each period,
+walking back from the end.
 """
 
 from __future__ import annotations
@@ -12,11 +20,12 @@ from __future__ import annotations
 import time
 
 import numpy as np
+from scipy.ndimage import minimum_filter1d
 
 from ..core import Instance, Solution, SolveStats, STATUS_OPTIMAL, infeasible_solution
 from ..errors import ResourceLimitError, ValidationError
 
-DP_TRANSITION_BUDGET = 500_000_000
+DP_STATE_BUDGET = 32_000_000  # float64 states kept for the backtrack: 256 MB
 
 
 def solve_dp(inst: Instance) -> Solution:
@@ -29,59 +38,46 @@ def solve_dp(inst: Instance) -> Solution:
     t0 = time.perf_counter()
 
     cum_d = np.cumsum(d)
-    total = int(cum_d[-1])
-    remaining = total - cum_d
+    remaining = cum_d[-1] - cum_d
     # Upper bound on ending inventory per period: future demand plus initial
     # stock not yet drawn down.
     bounds = [int(remaining[t] + max(0, inst.s0 - cum_d[t])) for t in range(T)]
-    transitions = sum(
-        (bounds[t] + 1) * ((bounds[t - 1] if t > 0 else 0) + 1) for t in range(T)
-    )
-    if transitions > DP_TRANSITION_BUDGET:
+    states = sum(bounds) + T
+    if states > DP_STATE_BUDGET:
         raise ResourceLimitError(
-            f"dynamic program would need {transitions:.2e} transitions; "
-            "use a smaller-demand preset"
+            f"dynamic program would need {states:.2e} states; use a smaller-demand preset"
         )
 
-    prev_states = np.array([inst.s0], dtype=np.int64)
-    prev_cost = np.zeros(1)
-    parents: list[np.ndarray] = []
-    state_lists: list[np.ndarray] = [prev_states]
+    # F_{-1}: only the initial stock, padded to every inventory period 1 can draw on.
+    F = np.full(int(d[0]) + bounds[0] + 1, np.inf)
+    F[inst.s0] = 0.0
+    tables = [F]
     for t in range(T):
-        new_states = np.arange(bounds[t] + 1, dtype=np.int64)
-        # q[i, j]: production needed to move from prev state j to new state i.
-        q = new_states[:, None] + int(d[t]) - prev_states[None, :]
-        valid = (q >= 0) & (q <= int(cap[t]))
-        cost = np.where(
-            valid,
-            prev_cost[None, :]
-            + inst.p[t] * q
-            + np.where(q > 0, inst.f[t], 0.0)
-            + inst.h[t] * new_states[:, None],
-            np.inf,
+        dt, n = int(d[t]), bounds[t] + 1
+        prev, k = F[: dt + n], np.arange(dt + n)
+        width = min(int(cap[t]), dt + n - 1)
+        window = minimum_filter1d(
+            prev - inst.p[t] * k, size=width + 1, origin=width // 2, mode="constant", cval=np.inf
         )
-        parent = np.argmin(cost, axis=1)
-        prev_cost = cost[np.arange(len(new_states)), parent]
-        prev_states = new_states
-        parents.append(parent.astype(np.int32))
-        state_lists.append(new_states)
+        produce = inst.f[t] + inst.p[t] * k[dt:] + window[dt:]
+        F = inst.h[t] * np.arange(n) + np.minimum(prev[dt:], produce)
+        tables.append(F)
 
-    if not np.isfinite(prev_cost).any():
+    if not np.isfinite(F).any():
         return infeasible_solution(T, SolveStats(wall_time_seconds=time.perf_counter() - t0))
 
-    s = np.zeros(T)
-    x = np.zeros(T)
-    y = np.zeros(T, dtype=np.int64)
-    idx = int(np.argmin(prev_cost))
-    objective = float(prev_cost[idx])
+    s, x = np.zeros(T), np.zeros(T)
+    i = int(np.argmin(F))
+    objective = float(F[i])
     for t in range(T - 1, -1, -1):
-        s[t] = float(state_lists[t + 1][idx])
-        idx = int(parents[t][idx])
-        prev = float(state_lists[t][idx])
-        x[t] = s[t] + float(d[t]) - prev
-        y[t] = 1 if x[t] > 0 else 0
+        k = i + int(d[t])
+        j = np.arange(max(0, k - int(cap[t])), k + 1)
+        cost = tables[t][j] + inst.p[t] * (k - j) + np.where(j < k, inst.f[t], 0.0)
+        s[t] = i
+        i = int(j[np.argmin(cost)])
+        x[t] = k - i
     elapsed = time.perf_counter() - t0
     return Solution(
-        x=x, s=s, y=y, objective=objective, status=STATUS_OPTIMAL,
+        x=x, s=s, y=(x > 0).astype(np.int64), objective=objective, status=STATUS_OPTIMAL,
         stats=SolveStats(wall_time_seconds=elapsed, mip_gap=0.0),
     )

@@ -15,8 +15,6 @@ from scipy.optimize import linprog
 from ..core import FixPlan, Instance
 from ..errors import UndefinedGapError
 
-LP_TOL = 1e-7
-
 LP_OPTIMAL = "Optimal"
 LP_INFEASIBLE = "Infeasible"
 LP_UNBOUNDED = "Unbounded"

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,11 @@ import pytest
 
 import lotsize
 from lotsize.cli import EXIT_USAGE, main
+from lotsize.nn.model_io import MAGIC
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+# A weight-file header that lacks the model width.
+NO_WIDTH = json.dumps({"format_version": 1, "layer_count": 1}).encode()
 
 
 def run(*argv) -> int:
@@ -74,6 +78,11 @@ class TestGen:
         assert run("gen", "--c", 3, "--f", 100, "--T", 8, "--n", 5,
                    "--out", tmp_path / "x") == 2
 
+    def test_paper_demand_range_is_labelled(self, tmp_path):
+        # The default demand range is d in [1, 600], the paper's.
+        assert run("gen", "--c", 3, "--f", 100, "--T", 30, "--n", 10,
+                   "--out", tmp_path / "paper") == 0
+
     def test_unknown_oracle_is_usage_error(self, tmp_path):
         assert run("gen", "--c", 3, "--f", 100, "--T", 8, "--n", 10,
                    "--oracle", "magic", "--out", tmp_path / "x") == 2
@@ -106,6 +115,28 @@ class TestSolve:
     def test_unknown_solver_is_usage_error(self, dataset_dir, tmp_path):
         assert run("solve", "--dataset", dataset_dir, "--solver", "nope",
                    "--out", tmp_path / "o") == 2
+
+    def test_cut_rounds_are_read_by_lscuts(self, dataset_dir, tmp_path):
+        assert run("solve", "--dataset", dataset_dir, "--solver", "lscuts",
+                   "--ls-rounds", 3, "--out", tmp_path / "o") == 0
+
+
+# Each command sets a flag that the chosen solver or source would ignore.
+@pytest.mark.parametrize("argv,flag", [
+    (["solve", "--solver", "dp", "--time-limit", 1e-6, "--gap-tol", 0.9, "--ls-rounds", 9],
+     "--time-limit"),
+    (["solve", "--solver", "brute", "--gap-tol", 0.9], "--gap-tol"),
+    (["solve", "--solver", "bnb", "--ls-rounds", 7], "--ls-rounds"),
+    (["predict", "--baseline", "logistic", "--model", "/nonexistent.bin"], "--model"),
+    (["solve", "--solver", "bnb", "--config", "ls_rounds = 7"], "--ls-rounds"),
+], ids=["dp-all", "brute-gap-tol", "bnb-ls-rounds", "predict-both", "config-ls-rounds"])
+def test_ignored_flag_is_usage_error(argv, flag, dataset_dir, tmp_path, capsys):
+    if "--config" in argv:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(argv[-1] + "\n")
+        argv = argv[:-1] + [cfg]
+    assert run(*argv, "--dataset", dataset_dir, "--out", tmp_path / "o") == EXIT_USAGE
+    assert flag in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +257,21 @@ class TestTrainPredictEvaluateReport:
                         + bytes(raw[len(MAGIC) + 8 + header_len :]))
         assert run("predict", "--dataset", dataset_dir, "--model", bad,
                    "--out", tmp_path / "y") == 4
+
+    @pytest.mark.parametrize("raw", [
+        MAGIC + b"\x01\x02",
+        MAGIC + struct.pack("<Q", len(NO_WIDTH)) + NO_WIDTH,
+    ], ids=["short-length", "no-width"])
+    def test_unparsable_model_is_format_error(self, raw, dataset_dir, tmp_path):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(raw)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lotsize.cli", "predict", "--dataset", str(dataset_dir),
+             "--model", str(bad), "--out", str(tmp_path / "y")],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 RECORD_ROW = "test-000000,3,100.0,8,hard,50.0,Optimal,{z},17.0,0.01,0.005,4,0.0\n"

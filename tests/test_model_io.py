@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lotsize.errors import ModelFormatError
 from lotsize.nn import (
@@ -84,3 +86,33 @@ class TestFormatErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ModelFormatError):
             load_model(tmp_path / "absent.bin")
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A small saved model's bytes and a directory for corrupted copies."""
+    std = Standardizer(mean=np.zeros(4), std=np.ones(4))
+    model = BiLstmModel.initialize(
+        layer_count=1, width=2, dropout_rate=0.2, input_size=4, seed=3, standardizer=std
+    )
+    out = tmp_path_factory.mktemp("corrupt")
+    return save_model(model, out / "model.bin").read_bytes(), out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupt_copy_loads_or_is_format_error(saved, data):
+    raw, out = saved
+    if data.draw(st.booleans(), label="truncate"):
+        copy = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        copy = bytes(flipped)
+    path = out / "copy.bin"
+    path.write_bytes(copy)
+    try:
+        load_model(path)
+    except ModelFormatError:
+        pass

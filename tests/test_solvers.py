@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import Bounds, LinearConstraint, milp
 
-from lotsize import FixPlan, Instance, check_solution
+from lotsize import FixPlan, GenParams, Instance, check_solution, generate_instance
 from lotsize.errors import ResourceLimitError, ValidationError
 from lotsize.solvers import (
     SOLVERS,
@@ -23,6 +24,26 @@ from lotsize.solvers.lp import LP_OPTIMAL, LpWorkspace
 from lotsize.solvers.pattern import PathRelaxation
 
 from conftest import edge_instances, random_small_instance
+
+
+def milp_objective(inst: Instance) -> float:
+    """Optimum of the CLSP as a mixed-integer program over (x, s, y)."""
+    T = inst.T
+    eye = np.eye(T)
+    # Flow balance s_t - s_{t-1} - x_t = -d_t, with s_0 given.
+    balance = np.hstack([-eye, eye - np.eye(T, k=-1), np.zeros((T, T))])
+    rhs = -inst.d.astype(float)
+    rhs[0] += inst.s0
+    setup = np.hstack([eye, np.zeros((T, T)), -np.diag(inst.cap.astype(float))])
+    res = milp(
+        np.concatenate([inst.p, inst.h, inst.f]).astype(float),
+        constraints=[LinearConstraint(balance, rhs, rhs), LinearConstraint(setup, -np.inf, 0)],
+        integrality=np.repeat([0, 0, 1], T),
+        bounds=Bounds(0, np.concatenate([np.full(2 * T, np.inf), np.ones(T)])),
+        options={"mip_rel_gap": 0},
+    )
+    assert res.status == 0
+    return float(res.fun)
 
 
 def partial_fixings(inst: Instance):
@@ -128,10 +149,28 @@ class TestSolveDp:
 
     def test_state_budget(self):
         big = Instance(
-            T=5, d=[200_000] * 5, p=[1] * 5, f=[1] * 5, h=[1] * 5, cap=[400_000] * 5
+            T=5, d=[20_000_000] * 5, p=[1] * 5, f=[1] * 5, h=[1] * 5, cap=[40_000_000] * 5
         )
         with pytest.raises(ResourceLimitError):
             solve_dp(big)
+
+    def test_ties_carry_the_least_inventory(self):
+        # Producing in period 1 or in period 2 costs the same; walking back
+        # from the end, the DP carries no stock into period 2.
+        inst = Instance(T=2, d=[0, 1], p=[0, 0], f=[1, 1], h=[0, 0], cap=[1, 1])
+        sol = solve_dp(inst)
+        assert np.array_equal(sol.y, [0, 1])
+        assert np.array_equal(sol.s, [0, 0])
+        assert sol.objective == brute_force(inst).objective == 1.0
+
+    @pytest.mark.parametrize("T", [30, 60, 90])
+    def test_paper_scale_matches_milp(self, T):
+        for i in range(2):
+            inst = generate_instance(GenParams(c_ratio=3, f_ratio=100, T=T), i)
+            sol = solve_dp(inst)
+            assert sol.status == "Optimal"
+            assert sol.objective == pytest.approx(milp_objective(inst), rel=1e-9)
+            assert check_solution(inst, sol) == []
 
     def test_initial_inventory(self):
         inst = Instance(T=2, d=[3, 2], p=[1, 1], f=[10, 10], h=[1, 1], cap=[5, 5], s0=4)
