@@ -16,10 +16,9 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .baselines import LogisticConfig, logistic_fit, logistic_predict
@@ -114,7 +113,9 @@ def _modes(text: str) -> list[str]:
 
 
 def _pool_map(jobs: int):
-    if jobs <= 1:
+    if jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {jobs}")
+    if jobs == 1:
         return None
     executor = ProcessPoolExecutor(max_workers=jobs)
     return executor
@@ -258,19 +259,22 @@ def cmd_predict(args, manifest: RunManifest) -> int:
     dataset, split = _read_split(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
     if args.baseline == "logistic":
         model = logistic_fit(dataset.train, LogisticConfig(seed=args.seed))
-        for inst, _ in split:
-            rows.append(logistic_predict(model, inst))
+        predict_one = functools.partial(logistic_predict, model)
         source = "logistic"
     else:
         model = load_model(args.model)
-        for inst, _ in split:
-            rows.append(predict_instance(model, inst))
+        predict_one = functools.partial(predict_instance, model)
         source = f"bilstm-L{model.layer_count}W{model.width}"
+    # Each row carries its own forward-pass time, the prediction share of timeML.
+    preds = []
+    for inst, _ in split:
+        t0 = time.perf_counter()
+        probs = predict_one(inst)
+        preds.append(PredictionVector(probs, source, time.perf_counter() - t0))
     probs_path = out / "probs.jsonl"
-    write_probabilities(probs_path, split_ids(args.split, len(split)), rows, source)
+    write_probabilities(probs_path, split_ids(args.split, len(split)), preds)
     manifest.finish(out, [probs_path])
     print(f"wrote {probs_path}")
     return 0
@@ -278,7 +282,7 @@ def cmd_predict(args, manifest: RunManifest) -> int:
 
 def cmd_evaluate(args, manifest: RunManifest) -> int:
     _, split = _read_split(args)
-    probs = read_probabilities(args.probs)
+    preds = read_probabilities(args.probs)
     levels = _levels(args.levels)
     for lv in levels:
         if not 0 <= lv <= 100:
@@ -290,9 +294,9 @@ def cmd_evaluate(args, manifest: RunManifest) -> int:
     )
     records = []
     for iid, (inst, _) in zip(ids, split):
-        if iid not in probs:
+        if iid not in preds:
             raise UsageError(f"probability file lacks an entry for {iid}")
-        pred = PredictionVector(probs=np.array(probs[iid]), source=str(args.probs))
+        pred = preds[iid]
         # Plain and ML solves share one solver stack; the oracle's time is not used.
         opts = EvalOptions(
             time_limit=args.time_limit,

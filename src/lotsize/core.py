@@ -33,13 +33,24 @@ def _frozen_1d(name: str, values, dtype) -> np.ndarray:
     return arr
 
 
+def _frozen_int_1d(name: str, values) -> np.ndarray:
+    """``_frozen_1d`` for integer data; a fractional entry is an error, not truncated."""
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "iub":
+        real = raw.astype(np.float64)
+        if not np.all(np.isfinite(real) & (real == np.floor(real))):
+            raise ValidationError(f"{name} must hold integers")
+    return _frozen_1d(name, raw, np.int64)
+
+
 @dataclass(frozen=True)
 class Instance:
     """One lot-sizing problem.
 
     ``d`` and ``cap`` are non-negative integer vectors, the cost vectors are
-    non-negative reals, and ``s0`` is the initial inventory (zero for all
-    generated instances).
+    non-negative reals, and ``s0`` is the integer initial inventory (zero for
+    all generated instances). A fractional ``d``, ``cap`` or ``s0`` raises
+    ``ValidationError`` rather than being truncated.
     """
 
     T: int
@@ -54,17 +65,20 @@ class Instance:
     def __post_init__(self):
         if self.T < 1:
             raise ValidationError("horizon must be at least 1")
-        object.__setattr__(self, "d", _frozen_1d("d", self.d, np.int64))
+        object.__setattr__(self, "d", _frozen_int_1d("d", self.d))
         object.__setattr__(self, "p", _frozen_1d("p", self.p, np.float64))
         object.__setattr__(self, "f", _frozen_1d("f", self.f, np.float64))
         object.__setattr__(self, "h", _frozen_1d("h", self.h, np.float64))
-        object.__setattr__(self, "cap", _frozen_1d("cap", self.cap, np.int64))
+        object.__setattr__(self, "cap", _frozen_int_1d("cap", self.cap))
         for name in ("d", "p", "f", "h", "cap"):
             vec = getattr(self, name)
             if len(vec) != self.T:
                 raise DimensionError(f"{name} has length {len(vec)}, expected T={self.T}")
             if np.any(vec < 0):
                 raise ValidationError(f"{name} must be non-negative")
+        if not float(self.s0).is_integer():
+            raise ValidationError("initial inventory must be an integer")
+        object.__setattr__(self, "s0", int(self.s0))
         if self.s0 < 0:
             raise ValidationError("initial inventory must be non-negative")
 
@@ -104,7 +118,7 @@ class Instance:
             f=data["f"],
             h=data["h"],
             cap=data["cap"],
-            s0=int(data.get("s0", 0)),
+            s0=data.get("s0", 0),
             meta=dict(data.get("meta", {})),
         )
 

@@ -15,9 +15,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .core import STATUS_OPTIMAL, Instance, Solution
-from .errors import UsageError, ValidationError
+from .errors import DimensionError, UsageError, ValidationError
 from .generate import Dataset, GenParams
-from .pipeline import EvalRecord
+from .pipeline import EvalRecord, PredictionVector
 
 SPLIT_FILES = {"train": "train.jsonl", "val": "val.jsonl", "test": "test.jsonl"}
 
@@ -47,7 +47,7 @@ def _entry(path: Path, lineno: int):
     """Report a malformed entry as a ValidationError naming ``path:line``."""
     try:
         yield
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ValidationError, DimensionError) as exc:
         raise ValidationError(f"{path}:{lineno}: malformed entry: {exc!r}") from exc
 
 
@@ -110,29 +110,42 @@ def split_ids(split_name: str, n: int) -> list[str]:
     return [f"{split_name}-{i:06d}" for i in range(n)]
 
 
-def write_probabilities(path: str | Path, ids: list[str], prob_rows, source: str = "") -> Path:
+def write_probabilities(path: str | Path, ids: list[str], preds: list[PredictionVector]) -> Path:
+    """One row per instance: its probabilities, source and ``predict_s`` seconds."""
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
-        for iid, probs in zip(ids, prob_rows):
-            row = {"instance_id": iid, "probs": [float(v) for v in probs]}
-            if source:
-                row["source"] = source
+        for iid, pred in zip(ids, preds):
+            row = {
+                "instance_id": iid,
+                "probs": [float(v) for v in pred.probs],
+                "predict_s": float(pred.predict_seconds),
+            }
+            if pred.source:
+                row["source"] = pred.source
             fh.write(_dump(row) + "\n")
     return path
 
 
-def read_probabilities(path: str | Path) -> dict[str, list[float]]:
+def read_probabilities(path: str | Path) -> dict[str, PredictionVector]:
+    """Predictions by instance id; a row without ``predict_s`` took 0 seconds."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no probability file at {path}")
-    out: dict[str, list[float]] = {}
+    out: dict[str, PredictionVector] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             with _entry(path, lineno):
                 row = json.loads(line)
-                out[row["instance_id"]] = [float(v) for v in row["probs"]]
+                seconds = float(row.get("predict_s", 0.0))
+                if not 0.0 <= seconds < float("inf"):
+                    raise ValueError(f"predict_s must be a finite non-negative time, got {seconds}")
+                out[row["instance_id"]] = PredictionVector(
+                    probs=[float(v) for v in row["probs"]],
+                    source=str(row.get("source", "")),
+                    predict_seconds=seconds,
+                )
     return out
 
 

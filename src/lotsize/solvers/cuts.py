@@ -11,6 +11,9 @@ subset for a given point keeps exactly the periods where ``x_t`` exceeds
 ``d_{t,ell} * y_t``, so separation is a linear scan per prefix.
 
 Branch and bound runs ``root_cut_loop`` when ``BnbOptions.ls_rounds > 0``.
+The loop solves every round on one persistent ``LpWorkspace`` and appends
+each round's cuts to it as rows; branch and bound then solves its nodes on
+that same model.
 """
 
 from __future__ import annotations
@@ -77,20 +80,26 @@ def root_cut_loop(
     rounds: int = DEFAULT_ROUNDS,
     tol: float = SEPARATION_TOL,
     plan: FixPlan | None = None,
+    workspace: LpWorkspace | None = None,
 ) -> tuple[list[LsCut], list[float], LpSolution]:
     """Iterate separation at the root; returns the pool, the bounds and the root.
 
-    ``root`` is the last LP solved, always over the final pool; ``bounds[-1]``
-    is its objective when it is optimal. At most ``rounds + 1`` LPs are solved.
+    Every round is solved on one ``workspace`` (a fresh one if none is
+    given), and each round's fresh cuts are appended to it, so the caller
+    can go on solving nodes on the same model. ``root`` is the last LP
+    solved, always over the final pool; ``bounds[-1]`` is its objective when
+    it is optimal. At most ``rounds + 1`` LPs are solved.
     """
     if rounds < 1:
         raise ValidationError("at least one separation round is required")
     fixed = dict((plan or FixPlan.empty()).entries)
+    if workspace is None:
+        workspace = LpWorkspace(inst)
     pool: list[LsCut] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
     bounds: list[float] = []
     for k in range(rounds + 1):
-        root = LpWorkspace(inst, tuple(pool)).solve(fixed)
+        root = workspace.solve(fixed)
         if root.status != LP_OPTIMAL:
             break
         bounds.append(root.objective)
@@ -102,4 +111,5 @@ def root_cut_loop(
         for c in fresh:
             seen.add((c.ell, c.set_S))
         pool.extend(fresh)
+        workspace.add_cuts(fresh)
     return pool, bounds, root

@@ -3,6 +3,11 @@
 Variable layout is ``[x_1..x_T, s_1..s_T, y_1..y_T]``. Flow balance rows are
 equalities, capacity linking and cut rows are <= inequalities, and fixing a
 setup variable collapses its bounds.
+
+``LpWorkspace`` keeps one HiGHS model per instance, through the HiGHS bindings
+that scipy bundles (``scipy.optimize._highspy``; no public scipy API keeps a
+model between solves). Cut rows are appended to it, and each solve changes
+only the setup bounds, so the dual simplex restarts from the last basis.
 """
 
 from __future__ import annotations
@@ -10,16 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 
 from ..core import FixPlan, Instance
 from ..errors import UndefinedGapError
 
 LP_OPTIMAL = "Optimal"
 LP_INFEASIBLE = "Infeasible"
-LP_UNBOUNDED = "Unbounded"
 
-_STATUS_MAP = {0: LP_OPTIMAL, 2: LP_INFEASIBLE, 3: LP_UNBOUNDED}
+# Every cost and variable is non-negative, so the LP is never unbounded and
+# "unbounded or infeasible" can only mean infeasible.
+_STATUS_MAP = {
+    _highs.HighsModelStatus.kOptimal: LP_OPTIMAL,
+    _highs.HighsModelStatus.kInfeasible: LP_INFEASIBLE,
+    _highs.HighsModelStatus.kUnboundedOrInfeasible: LP_INFEASIBLE,
+}
 
 
 @dataclass(frozen=True)
@@ -31,73 +41,91 @@ class LpSolution:
     status: str
 
 
-class LpWorkspace:
-    """Reusable constraint matrices for repeated solves of one instance.
+def _add_rows(highs, lower: np.ndarray, upper: np.ndarray, rows) -> None:
+    """Append rows given as lists of (column, coefficient) pairs, float64 bounds."""
+    starts = np.cumsum([0] + [len(r) for r in rows[:-1]], dtype=np.int32)
+    index = np.array([c for r in rows for c, _ in r], dtype=np.int32)
+    value = np.array([v for r in rows for _, v in r], dtype=np.float64)
+    highs.addRows(len(rows), lower, upper, len(index), starts, index, value)
 
-    Branch and bound with cut rows re-solves the same relaxation with
-    different setup bounds, so the matrices are assembled once and only the
-    bound column for ``y`` changes between calls. Without cut rows, branch
-    and bound uses the closed-form ``PathRelaxation`` instead.
+
+class LpWorkspace:
+    """One persistent HiGHS model for repeated solves of one instance.
+
+    The flow and capacity rows are built once; ``add_cuts`` appends cut rows
+    and ``cuts`` holds every cut the model carries. ``solve`` changes only
+    the setup bounds and re-runs the dual simplex from the basis the last
+    solve left. Without cut rows, branch and bound uses the closed-form
+    ``PathRelaxation`` instead.
     """
 
     def __init__(self, inst: Instance, extra_cuts=()):
         T = inst.T
         self.inst = inst
-        self.cost = np.concatenate([inst.p, inst.h, inst.f])
-        A_eq = np.zeros((T, 3 * T))
-        b_eq = inst.d.astype(np.float64).copy()
-        for t in range(T):
-            A_eq[t, t] = 1.0
-            A_eq[t, T + t] = -1.0
-            if t > 0:
-                A_eq[t, T + t - 1] = 1.0
-        b_eq[0] -= inst.s0
-        cap_rows = np.zeros((T, 3 * T))
-        for t in range(T):
-            cap_rows[t, t] = 1.0
-            cap_rows[t, 2 * T + t] = -float(inst.cap[t])
-        cut_rows = np.zeros((len(extra_cuts), 3 * T))
-        for i, cut in enumerate(extra_cuts):
-            for t, coeff in zip(cut.set_S, cut.coeffs):
-                cut_rows[i, t - 1] = 1.0
-                cut_rows[i, 2 * T + t - 1] = -coeff
-            cut_rows[i, T + cut.ell - 1] = -1.0
-        self.A_eq = A_eq
-        self.b_eq = b_eq
-        self.A_ub = np.vstack([cap_rows, cut_rows])
-        self.b_ub = np.zeros(T + len(extra_cuts))
+        self.cuts: tuple = ()
+        self._y_cols = np.arange(2 * T, 3 * T, dtype=np.int32)
+        highs = _highs._Highs()
+        highs.setOptionValue("output_flag", False)
+        highs.setOptionValue("presolve", "off")
+        cost = np.concatenate([inst.p, inst.h, inst.f])
+        lower = np.zeros(3 * T)
+        upper = np.concatenate([np.full(2 * T, _highs.kHighsInf), np.ones(T)])
+        empty = np.zeros(0, dtype=np.int32)
+        highs.addCols(3 * T, cost, lower, upper, 0, empty, empty, np.zeros(0))
+        # Flow balance: s_{t-1} + x_t - s_t = d_t (s0 moves to the first row).
+        flow = [
+            [(t, 1.0), (T + t, -1.0)] + ([(T + t - 1, 1.0)] if t > 0 else [])
+            for t in range(T)
+        ]
+        rhs = inst.d.astype(np.float64)
+        rhs[0] -= inst.s0
+        _add_rows(highs, rhs, rhs, flow)
+        # Capacity linking: x_t - cap_t * y_t <= 0.
+        linking = [[(t, 1.0), (2 * T + t, -float(inst.cap[t]))] for t in range(T)]
+        _add_rows(highs, np.full(T, -_highs.kHighsInf), np.zeros(T), linking)
+        self._highs = highs
+        self.add_cuts(extra_cuts)
+
+    def add_cuts(self, cuts) -> None:
+        """Append one row per cut: sum_S x_t - sum_S coeff_t * y_t - s_ell <= 0."""
+        cuts = tuple(cuts)
+        if not cuts:
+            return
+        T = self.inst.T
+        rows = [
+            [(t - 1, 1.0) for t in cut.set_S]
+            + [(2 * T + t - 1, -c) for t, c in zip(cut.set_S, cut.coeffs)]
+            + [(T + cut.ell - 1, -1.0)]
+            for cut in cuts
+        ]
+        _add_rows(self._highs, np.full(len(cuts), -_highs.kHighsInf), np.zeros(len(cuts)), rows)
+        self.cuts += cuts
 
     def solve(self, fixed: dict[int, int] | None = None) -> LpSolution:
         """Solve with setup bounds collapsed per the 1-based ``fixed`` map."""
         T = self.inst.T
-        lower = np.zeros(3 * T)
-        upper = np.full(3 * T, np.inf)
-        upper[2 * T :] = 1.0
-        if fixed:
-            for t, v in fixed.items():
-                lower[2 * T + t - 1] = float(v)
-                upper[2 * T + t - 1] = float(v)
-        res = linprog(
-            self.cost,
-            A_ub=self.A_ub,
-            b_ub=self.b_ub,
-            A_eq=self.A_eq,
-            b_eq=self.b_eq,
-            bounds=np.column_stack([lower, upper]),
-            method="highs",
-        )
-        status = _STATUS_MAP.get(res.status)
+        lower = np.zeros(T)
+        upper = np.ones(T)
+        for t, v in (fixed or {}).items():
+            lower[t - 1] = upper[t - 1] = float(v)
+        highs = self._highs
+        highs.changeColsBounds(T, self._y_cols, lower, upper)
+        highs.run()
+        model_status = highs.getModelStatus()
+        status = _STATUS_MAP.get(model_status)
         if status is None:
-            raise RuntimeError(f"LP solver failed with status {res.status}: {res.message}")
+            raise RuntimeError(
+                f"LP solver failed with status {highs.modelStatusToString(model_status)}"
+            )
         if status != LP_OPTIMAL:
             return LpSolution(
                 x=np.zeros(T), y=np.zeros(T), s=np.zeros(T),
                 objective=float("inf"), status=status,
             )
-        z = np.asarray(res.x)
+        z = np.array(highs.getSolution().col_value)
         return LpSolution(
-            x=z[:T].copy(), s=z[T : 2 * T].copy(), y=z[2 * T :].copy(),
-            objective=float(res.fun), status=LP_OPTIMAL,
+            x=z[:T], s=z[T : 2 * T], y=z[2 * T :],
+            objective=highs.getObjectiveValue(), status=LP_OPTIMAL,
         )
 
 

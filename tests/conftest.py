@@ -59,3 +59,16 @@ def edge_instances(draw) -> Instance:
 def generated_instances(n: int, seed: int = 5, T: int = 8, c: int = 3, f: float = 50.0):
     params = GenParams(c_ratio=c, f_ratio=f, T=T, demand_range=(1, 20), seed=seed)
     return [generate_instance(params, i) for i in range(n)]
+
+
+@st.composite
+def desk_instances(draw, max_T: int = 20) -> Instance:
+    """Generated instances of the desk scheme (d in [1, 60]) with T <= ``max_T``."""
+    params = GenParams(
+        c_ratio=draw(st.integers(2, 4)),
+        f_ratio=float(draw(st.sampled_from([10, 50, 100, 200]))),
+        T=draw(st.integers(1, max_T)),
+        demand_range=(1, 60),
+        seed=draw(st.integers(0, 10_000)),
+    )
+    return generate_instance(params, draw(st.integers(0, 100)))

@@ -121,6 +121,19 @@ class TestSolve:
                    "--ls-rounds", 3, "--out", tmp_path / "o") == 0
 
 
+# Only values that start no worker process: a pool of that size would be real.
+@pytest.mark.parametrize("argv", [
+    ["gen", "--c", 3, "--f", 100, "--T", 8, "--n", 10, "--demand-range", "1,20", "--jobs", 0],
+    ["solve", "--solver", "dp", "--jobs", -3],
+], ids=["gen-jobs0", "solve-jobs-3"])
+def test_jobs_below_one_is_usage_error(argv, dataset_dir, tmp_path, capsys):
+    if argv[0] == "solve":
+        argv = argv + ["--dataset", dataset_dir]
+    assert run(*argv, "--out", tmp_path / "o") == EXIT_USAGE
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # Each command sets a flag that the chosen solver or source would ignore.
 @pytest.mark.parametrize("argv,flag", [
     (["solve", "--solver", "dp", "--time-limit", 1e-6, "--gap-tol", 0.9, "--ls-rounds", 9],
@@ -223,6 +236,21 @@ class TestTrainPredictEvaluateReport:
         for r, row in zip(records[::2], rows):
             assert float(r["z_star"]) == pytest.approx(row["solution"]["objective"], rel=1e-9)
 
+    def test_prediction_time_counts_in_ml_time(self, dataset_dir, tmp_path):
+        # predict writes each instance's forward-pass time; evaluate adds it to timeML.
+        probs_dir = tmp_path / "lr"
+        assert run("predict", "--dataset", dataset_dir, "--baseline", "logistic",
+                   "--out", probs_dir) == 0
+        rows = [json.loads(l) for l in open(probs_dir / "probs.jsonl")]
+        assert all(r["predict_s"] > 0 for r in rows)
+        slow = tmp_path / "slow.jsonl"
+        slow.write_text("".join(json.dumps({**r, "predict_s": 5.0}) + "\n" for r in rows))
+        assert run("evaluate", "--dataset", dataset_dir, "--probs", slow, "--levels", "0,50",
+                   "--mode", "hard,soft,warm", "--out", tmp_path / "eval") == 0
+        records = list(csv.DictReader(open(tmp_path / "eval" / "records.csv")))
+        assert len(records) == 4 * len(rows)
+        assert all(float(r["time_ml_s"]) >= 5.0 for r in records)
+
     def test_evaluate_rejects_jobs(self, dataset_dir, tmp_path):
         # evaluate runs in one process; a --jobs flag would be accepted and ignored.
         proc = subprocess.run(
@@ -289,11 +317,16 @@ def _corrupt(kind: str, dataset_dir: Path, tmp: Path) -> list:
             "probs-missing": json.dumps({"instance_id": "test-000000"}) + "\n",
         }[kind])
         return evaluate
-    if kind == "dataset-truncated":
+    if kind.startswith("dataset"):
         ds = tmp / "ds"
         shutil.copytree(dataset_dir, ds)
         lines = (ds / "test.jsonl").read_text().splitlines(keepends=True)
-        lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
+        if kind == "dataset-truncated":
+            lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
+        else:
+            row = json.loads(lines[1])
+            row["instance"]["d"][0] += 0.5
+            lines[1] = json.dumps(row) + "\n"
         (ds / "test.jsonl").write_text("".join(lines))
         return ["solve", "--dataset", ds, "--solver", "dp", "--out", tmp / "o"]
     from lotsize.dataio import RECORD_COLUMNS
@@ -307,7 +340,7 @@ def _corrupt(kind: str, dataset_dir: Path, tmp: Path) -> list:
 
 @pytest.mark.parametrize("kind", [
     "probs-truncated", "probs-string", "probs-missing",
-    "dataset-truncated", "records-truncated", "records-z-star",
+    "dataset-truncated", "dataset-fractional-demand", "records-truncated", "records-z-star",
 ])
 def test_malformed_input_file_is_usage_error(kind, dataset_dir, tmp_path):
     argv = _corrupt(kind, dataset_dir, tmp_path)

@@ -111,6 +111,21 @@ class TestInstanceValidation:
     def test_roundtrip_dict(self, e1):
         assert Instance.from_dict(e1.to_dict()) == e1
 
+    @pytest.mark.parametrize("field,value", [
+        ("d", [2.5, 1]), ("cap", [3.7, 3]), ("s0", 1.5), ("d", [float("nan"), 1]),
+    ], ids=["d", "cap", "s0", "d-nan"])
+    def test_fractional_integer_data_rejected(self, field, value):
+        data = dict(T=2, d=[2, 1], p=[1, 1], f=[1, 1], h=[1, 1], cap=[3, 3], s0=0)
+        data[field] = value
+        with pytest.raises(ValidationError):
+            Instance(**data)
+        with pytest.raises(ValidationError):
+            Instance.from_dict(data)
+
+    def test_integral_floats_accepted(self):
+        inst = Instance(T=2, d=[2.0, 1.0], p=[1, 1], f=[1, 1], h=[1, 1], cap=[3.0, 3.0], s0=1.0)
+        assert inst.d.tolist() == [2, 1] and inst.cap.tolist() == [3, 3] and inst.s0 == 1
+
 
 class TestFixPlan:
     def test_rejects_non_binary_value(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lotsize import FixPlan, Instance
+from lotsize import FixPlan, Instance, check_solution
 from lotsize.errors import ValidationError
 from lotsize.solvers import (
     BnbOptions,
@@ -23,7 +23,7 @@ from lotsize.solvers.cuts import LsCut
 from lotsize.solvers.lp import LpSolution, LP_OPTIMAL
 from lotsize.solvers.pattern import PathRelaxation
 
-from conftest import generated_instances, random_small_instance
+from conftest import desk_instances, edge_instances, generated_instances, random_small_instance
 
 
 def enumerate_most_violated(inst, x, y, s, tol):
@@ -146,16 +146,45 @@ class TestSolveWithCuts:
             )
 
 
+@st.composite
+def planned_instances(draw):
+    """An instance and a random partial fix plan for it."""
+    inst = draw(st.one_of(edge_instances(), desk_instances()))
+    periods = draw(st.sets(st.integers(1, inst.T), max_size=inst.T - 1))
+    return inst, FixPlan({t: draw(st.integers(0, 1)) for t in sorted(periods)})
+
+
+class TestBranchAndCutDifferential:
+    """Branch and cut on the persistent HiGHS model against cut-free B&B."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=planned_instances(), rounds=st.integers(1, 5))
+    def test_matches_cut_free_bnb_and_repeats(self, case, rounds):
+        inst, plan = case
+        cut = solve_with_ls_cuts(inst, rounds, plan=plan)
+        free = branch_and_bound(inst, plan)
+        assert cut.status == free.status
+        if cut.status == "Optimal":
+            assert cut.objective == pytest.approx(free.objective, rel=1e-9, abs=1e-9)
+            assert check_solution(inst, cut) == []
+            for t, v in plan.entries.items():
+                assert cut.y[t - 1] == v
+        again = solve_with_ls_cuts(inst, rounds, plan=plan)
+        assert np.array_equal(again.y, cut.y)
+        assert again.stats.nodes_explored == cut.stats.nodes_explored
+        assert again.stats.lp_solves == cut.stats.lp_solves
+
+
 class TestRelaxationsSolvedOnce:
     """Branch and cut solves each relaxation once and counts what it solves."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        """Every relaxation solved, keyed by its rows and its fixings."""
+        """Every relaxation solved, keyed by the cut rows it holds and its fixings."""
         calls = []
         for cls in (LpWorkspace, PathRelaxation):
             def counted(self, fixed=None, _solve=cls.solve):
-                rows = getattr(self, "A_ub", np.empty(0)).tobytes()
+                rows = getattr(self, "cuts", ())
                 calls.append((type(self).__name__, rows, tuple(sorted((fixed or {}).items()))))
                 return _solve(self, fixed)
 

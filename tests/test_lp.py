@@ -2,13 +2,60 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from lotsize import FixPlan, Instance, flow_feasible
 from lotsize.errors import UndefinedGapError
-from lotsize.solvers import compute_igap, solve_lp
+from lotsize.solvers import LpWorkspace, compute_igap, solve_lp
+from lotsize.solvers.cuts import LsCut
 from lotsize.solvers.lp import LP_INFEASIBLE, LP_OPTIMAL
 
-from conftest import random_small_instance
+from conftest import desk_instances, edge_instances, random_small_instance
+
+
+def linprog_reference(inst: Instance, cuts, fixed: dict[int, int]) -> tuple[str, float]:
+    """Status and objective of a fresh ``linprog`` solve of the same rows."""
+    T = inst.T
+    A_eq = np.zeros((T, 3 * T))
+    b_eq = inst.d.astype(float)
+    b_eq[0] -= inst.s0
+    A_ub = np.zeros((T + len(cuts), 3 * T))
+    for t in range(T):
+        A_eq[t, t], A_eq[t, T + t] = 1.0, -1.0
+        if t > 0:
+            A_eq[t, T + t - 1] = 1.0
+        A_ub[t, t], A_ub[t, 2 * T + t] = 1.0, -float(inst.cap[t])
+    for row, cut in enumerate(cuts, T):
+        for t, coeff in zip(cut.set_S, cut.coeffs):
+            A_ub[row, t - 1], A_ub[row, 2 * T + t - 1] = 1.0, -coeff
+        A_ub[row, T + cut.ell - 1] = -1.0
+    bounds = [(0, None)] * (2 * T) + [(fixed.get(t, 0), fixed.get(t, 1)) for t in range(1, T + 1)]
+    res = linprog(np.concatenate([inst.p, inst.h, inst.f]), A_ub=A_ub, b_ub=np.zeros(len(A_ub)),
+                  A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    assert res.status in (0, 2), res.message
+    return (LP_OPTIMAL, res.fun) if res.status == 0 else (LP_INFEASIBLE, float("inf"))
+
+
+@st.composite
+def workspace_steps(draw):
+    """An instance and a sequence of setup fixings and (l,S) cuts to apply to it."""
+    inst = draw(st.one_of(edge_instances(), desk_instances()))
+    T = inst.T
+    cum = np.concatenate([[0], np.cumsum(inst.d)])
+    steps = []
+    for kind in draw(st.lists(st.sampled_from(["fix", "fix", "close", "cut"]), min_size=1,
+                              max_size=10)):
+        if kind == "cut":
+            ell = draw(st.integers(1, T))
+            S = tuple(sorted(draw(st.sets(st.integers(1, ell), min_size=1))))
+            steps.append(LsCut(ell, S, tuple(float(cum[ell] - cum[t - 1]) for t in S)))
+        elif kind == "close":
+            # Every setup closed: infeasible whenever s0 falls short of demand.
+            steps.append({t: 0 for t in range(1, T + 1)})
+        else:
+            periods = draw(st.sets(st.integers(1, T)))
+            steps.append({t: draw(st.integers(0, 1)) for t in sorted(periods)})
+    return inst, steps
 
 
 class TestSolveLp:
@@ -44,6 +91,28 @@ class TestSolveLp:
         plan = FixPlan({t: 0 for t in zeros})
         lp = solve_lp(inst, plan)
         assert (lp.status == LP_INFEASIBLE) == (not flow_feasible(inst, plan))
+
+
+class TestPersistentWorkspace:
+    @settings(max_examples=150, deadline=None)
+    @given(case=workspace_steps())
+    def test_matches_fresh_linprog_after_every_step(self, case):
+        inst, steps = case
+        ws = LpWorkspace(inst)
+        cuts = []
+        for step in steps:
+            if isinstance(step, LsCut):
+                ws.add_cuts([step])
+                cuts.append(step)
+                continue
+            lp = ws.solve(step)
+            status, objective = linprog_reference(inst, cuts, step)
+            assert lp.status == status
+            if status == LP_OPTIMAL:
+                assert lp.objective == pytest.approx(objective, rel=1e-9, abs=1e-9)
+                for t, v in step.items():
+                    assert lp.y[t - 1] == pytest.approx(v, abs=1e-9)
+        assert ws.cuts == tuple(cuts)
 
 
 class TestComputeIgap:
