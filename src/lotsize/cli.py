@@ -282,7 +282,9 @@ def cmd_predict(args, manifest: RunManifest) -> int:
 
 def cmd_evaluate(args, manifest: RunManifest) -> int:
     _, split = _read_split(args)
-    preds = read_probabilities(args.probs)
+    preds, untimed = read_probabilities(args.probs)
+    # Rows without predict_s add nothing to time_ml_s; the manifest says how many.
+    manifest.inputs["probability_rows_without_predict_s"] = untimed
     levels = _levels(args.levels)
     for lv in levels:
         if not 0 <= lv <= 100:

@@ -24,6 +24,16 @@ STATUS_TIME_LIMIT = "TimeLimit"
 FEAS_TOL = 1e-6
 
 
+def as_integer(name: str, value) -> int:
+    """``value`` as an int; a fractional or non-finite value raises, never truncates."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    real = float(value)
+    if not real.is_integer():
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(real)
+
+
 def _frozen_1d(name: str, values, dtype) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype)
     if arr.ndim != 1:
@@ -49,8 +59,8 @@ class Instance:
 
     ``d`` and ``cap`` are non-negative integer vectors, the cost vectors are
     non-negative reals, and ``s0`` is the integer initial inventory (zero for
-    all generated instances). A fractional ``d``, ``cap`` or ``s0`` raises
-    ``ValidationError`` rather than being truncated.
+    all generated instances). A fractional ``T``, ``d``, ``cap`` or ``s0``
+    raises ``ValidationError`` rather than being truncated.
     """
 
     T: int
@@ -63,6 +73,7 @@ class Instance:
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "T", as_integer("horizon", self.T))
         if self.T < 1:
             raise ValidationError("horizon must be at least 1")
         object.__setattr__(self, "d", _frozen_int_1d("d", self.d))
@@ -76,9 +87,7 @@ class Instance:
                 raise DimensionError(f"{name} has length {len(vec)}, expected T={self.T}")
             if np.any(vec < 0):
                 raise ValidationError(f"{name} must be non-negative")
-        if not float(self.s0).is_integer():
-            raise ValidationError("initial inventory must be an integer")
-        object.__setattr__(self, "s0", int(self.s0))
+        object.__setattr__(self, "s0", as_integer("initial inventory", self.s0))
         if self.s0 < 0:
             raise ValidationError("initial inventory must be non-negative")
 
@@ -112,7 +121,7 @@ class Instance:
     @classmethod
     def from_dict(cls, data: Mapping) -> "Instance":
         return cls(
-            T=int(data["T"]),
+            T=data["T"],
             d=data["d"],
             p=data["p"],
             f=data["f"],

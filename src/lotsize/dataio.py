@@ -126,18 +126,23 @@ def write_probabilities(path: str | Path, ids: list[str], preds: list[Prediction
     return path
 
 
-def read_probabilities(path: str | Path) -> dict[str, PredictionVector]:
-    """Predictions by instance id; a row without ``predict_s`` took 0 seconds."""
+def read_probabilities(path: str | Path) -> tuple[dict[str, PredictionVector], int]:
+    """Predictions by instance id, and how many rows had no ``predict_s``.
+
+    A row without ``predict_s`` is read as taking 0 seconds.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no probability file at {path}")
     out: dict[str, PredictionVector] = {}
+    untimed = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             with _entry(path, lineno):
                 row = json.loads(line)
+                untimed += "predict_s" not in row
                 seconds = float(row.get("predict_s", 0.0))
                 if not 0.0 <= seconds < float("inf"):
                     raise ValueError(f"predict_s must be a finite non-negative time, got {seconds}")
@@ -146,7 +151,7 @@ def read_probabilities(path: str | Path) -> dict[str, PredictionVector]:
                     source=str(row.get("source", "")),
                     predict_seconds=seconds,
                 )
-    return out
+    return out, untimed
 
 
 def _fmt(value) -> str:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import STATUS_OPTIMAL, FixPlan, Instance, Solution, flow_feasible
+from .core import STATUS_OPTIMAL, FixPlan, Instance, Solution, as_integer, flow_feasible
 from .errors import DatasetError, GenerationError, ValidationError
 
 SPLIT_FRACTIONS = (0.64, 0.16, 0.20)
@@ -28,7 +28,11 @@ def _round_half_up(x: float) -> int:
 
 @dataclass(frozen=True)
 class GenParams:
-    """Distribution parameters for one dataset."""
+    """Distribution parameters for one dataset.
+
+    A fractional ``c_ratio``, ``T``, ``seed`` or range bound raises
+    ``ValidationError`` rather than being truncated.
+    """
 
     c_ratio: int
     f_ratio: float
@@ -38,6 +42,8 @@ class GenParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("c_ratio", "T", "seed"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.c_ratio < 1:
             raise ValidationError("capacity-to-demand ratio must be a positive integer")
         if self.f_ratio <= 0:
@@ -45,9 +51,10 @@ class GenParams:
         if self.T < 1:
             raise ValidationError("horizon must be at least 1")
         for name in ("demand_range", "prod_cost_range"):
-            lo, hi = getattr(self, name)
+            lo, hi = (as_integer(name, v) for v in getattr(self, name))
             if lo < 0 or hi < lo:
                 raise ValidationError(f"{name} must be a non-empty interval with lower bound >= 0")
+            object.__setattr__(self, name, (lo, hi))
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
 
@@ -64,12 +71,12 @@ class GenParams:
     @classmethod
     def from_dict(cls, data: dict) -> "GenParams":
         return cls(
-            c_ratio=int(data["c_ratio"]),
+            c_ratio=data["c_ratio"],
             f_ratio=float(data["f_ratio"]),
-            T=int(data["T"]),
+            T=data["T"],
             demand_range=tuple(data.get("demand_range", (1, 600))),
             prod_cost_range=tuple(data.get("prod_cost_range", (1, 5))),
-            seed=int(data.get("seed", 0)),
+            seed=data.get("seed", 0),
         )
 
 

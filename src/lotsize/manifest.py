@@ -30,6 +30,8 @@ class RunManifest:
     config: dict
     seeds: dict = field(default_factory=dict)
     artifacts: dict = field(default_factory=dict)
+    # Facts about the inputs read that change what the outputs mean.
+    inputs: dict = field(default_factory=dict)
     tool_version: str = ""
     started_at: str = field(default_factory=_now)
     finished_at: str = ""

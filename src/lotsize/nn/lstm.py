@@ -3,12 +3,17 @@
 Each layer runs one LSTM chain over the sequence and a second chain, with
 its own weights, over the sequence flipped in time; the second chain's
 states are flipped back and the next layer gets the per-period
-concatenation ``[h_fwd; h_bwd]``. One recurrence serves both directions.
-Gates use the standard cell recurrences, stacked in the weight matrices as
-(input, forget, output, candidate). Dropout with inverted scaling follows
-every bidirectional layer when, and only when, the caller passes an
-``rng``. An affine head plus sigmoid maps the final concatenation to one
-probability per period.
+concatenation ``[h_fwd; h_bwd]``. The two chains are independent once the
+layer input is known, so one stacked recurrence advances both: the arrays
+carry a leading direction axis of size 2, one GEMM projects the input for
+both directions, and each step makes one batched ``h @ U.T`` for the
+(2, B, H) states and writes its gate and cell updates in place. The
+backward pass runs the same way, in reverse step order. Gates use the
+standard cell recurrences, stacked in the weight matrices as (input,
+forget, output, candidate); parameters stay per direction. Dropout with
+inverted scaling follows every bidirectional layer when, and only when, the
+caller passes an ``rng``. An affine head plus sigmoid maps the final
+concatenation to one probability per period.
 
 Everything is float64 so analytic gradients can be checked against central
 finite differences at tight tolerances.
@@ -129,6 +134,8 @@ class BiLstmModel:
 
 @dataclass
 class _DirectionCache:
+    """One direction of a layer, as (B, T, ·) views of the stacked arrays."""
+
     X: np.ndarray  # (B, T, in_dim) inputs as the chain reads them
     gates: np.ndarray  # (B, T, 4H) activated gate values
     c: np.ndarray  # (B, T, H) cell states
@@ -137,72 +144,141 @@ class _DirectionCache:
 
 
 @dataclass
+class _LayerCache:
+    """Both chains of one layer, stacked on a direction axis, in step order.
+
+    Direction 0 is the forward chain; direction 1 is the backward chain,
+    whose step ``s`` reads period ``T - 1 - s``. ``c`` and ``h`` are
+    step-major and hold the zero initial state at index 0: step ``s`` reads
+    ``[s]`` and writes ``[s + 1]``.
+    """
+
+    X: np.ndarray  # (T, B, in_dim) layer input, time-major
+    gates: np.ndarray  # (2, T, B, 4H) activated gate values
+    c: np.ndarray  # (T + 1, 2, B, H) cell states
+    tanh_c: np.ndarray  # (T, 2, B, H)
+    h: np.ndarray  # (T + 1, 2, B, H)
+
+    def step_gates(self) -> np.ndarray:
+        """``gates`` as a (T, 4, 2, B, H) view: step, gate, direction."""
+        T, B = self.X.shape[:2]
+        return self.gates.reshape(2, T, B, 4, -1).transpose(1, 3, 0, 2, 4)
+
+    def direction(self, k: int) -> _DirectionCache:
+        """Direction ``k`` as (B, T, ·) views, in its own step order."""
+        X = self.X if k == 0 else self.X[::-1]
+        return _DirectionCache(
+            X=X.transpose(1, 0, 2),
+            gates=self.gates[k].transpose(1, 0, 2),
+            c=self.c[1:, k].transpose(1, 0, 2),
+            tanh_c=self.tanh_c[:, k].transpose(1, 0, 2),
+            h=self.h[1:, k].transpose(1, 0, 2),
+        )
+
+
+@dataclass
 class _ForwardCache:
-    direction_caches: list[tuple[_DirectionCache, _DirectionCache]]
-    dropout_masks: list[np.ndarray | None]
-    head_input: np.ndarray
-    probs: np.ndarray
+    layers: list[_LayerCache]
+    dropout_masks: list[np.ndarray | None]  # (B, T, 2H) each
+    head_input: np.ndarray  # (B, T, 2H)
+    probs: np.ndarray  # (B, T)
+
+    @property
+    def direction_caches(self) -> list[tuple[_DirectionCache, _DirectionCache]]:
+        return [(layer.direction(0), layer.direction(1)) for layer in self.layers]
 
 
-def _run_chain(params: DirectionParams, X: np.ndarray) -> _DirectionCache:
-    """One LSTM chain over t = 0..T-1; the input projection runs before the loop."""
-    B, T, in_dim = X.shape
-    H = params.hidden
-    Z = (X.reshape(B * T, in_dim) @ params.W.T + params.b).reshape(B, T, 4 * H)
-    UT = params.U.T
-    gates = np.empty((B, T, 4 * H))
-    cs = np.empty((B, T, H))
-    tanh_cs = np.empty((B, T, H))
-    hs = np.empty((B, T, H))
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    for t in range(T):
-        z = Z[:, t] + h @ UT
-        gate = gates[:, t]
-        expit(z[:, : 3 * H], out=gate[:, : 3 * H])
-        np.tanh(z[:, 3 * H :], out=gate[:, 3 * H :])
-        i, f, o, g = gate[:, :H], gate[:, H : 2 * H], gate[:, 2 * H : 3 * H], gate[:, 3 * H :]
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        cs[:, t] = c
-        tanh_cs[:, t] = tc
-        hs[:, t] = h
-    return _DirectionCache(X=X, gates=gates, c=cs, tanh_c=tanh_cs, h=hs)
+def _layer_forward(layer: LayerParams, X: np.ndarray) -> _LayerCache:
+    """Both chains of one layer over a time-major (T, B, in_dim) input.
+
+    One GEMM projects the input for both directions before the loop; each
+    step then advances both chains with one batched ``h @ U.T`` on the
+    (2, B, H) states. A step works in a gate-major (4, 2, B, H) buffer, so
+    its elementwise updates run on contiguous blocks, and stores the
+    activated gates back into the cache.
+    """
+    T, B, in_dim = X.shape
+    H = layer.fwd.hidden
+    Z = (X.reshape(T * B, in_dim) @ np.concatenate([layer.fwd.W, layer.bwd.W]).T).reshape(
+        T, B, 2, 4 * H
+    )
+    gates = np.empty((2, T, B, 4 * H))
+    np.add(Z[:, :, 0], layer.fwd.b, out=gates[0])
+    np.add(Z[::-1, :, 1], layer.bwd.b, out=gates[1])
+    UT = np.stack([layer.fwd.U.T, layer.bwd.U.T])
+    c = np.empty((T + 1, 2, B, H))
+    h = np.empty((T + 1, 2, B, H))
+    c[0] = 0.0
+    h[0] = 0.0
+    tanh_c = np.empty((T, 2, B, H))
+    cache = _LayerCache(X=X, gates=gates, c=c, tanh_c=tanh_c, h=h)
+    steps = cache.step_gates()
+    rec = np.empty((2, B, 4 * H))
+    rec_gates = rec.reshape(2, B, 4, H).transpose(2, 0, 1, 3)
+    z = np.empty((4, 2, B, H))
+    i, f, o, g = z
+    ig = np.empty((2, B, H))
+    for s in range(T):
+        np.matmul(h[s], UT, out=rec)
+        np.add(steps[s], rec_gates, out=z)
+        expit(z[:3], out=z[:3])
+        np.tanh(g, out=g)
+        c_new = c[s + 1]
+        np.multiply(f, c[s], out=c_new)
+        np.multiply(i, g, out=ig)
+        c_new += ig
+        tc = tanh_c[s]
+        np.tanh(c_new, out=tc)
+        np.multiply(o, tc, out=h[s + 1])
+        steps[s] = z
+    return cache
 
 
-def _chain_backward(
-    params: DirectionParams, cache: _DirectionCache, dH: np.ndarray
+def _layer_backward(
+    layer: LayerParams, cache: _LayerCache, dH: np.ndarray
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Exact gradient through one chain; returns grads and dL/dX."""
-    B, T, in_dim = cache.X.shape
-    H = params.hidden
-    dZ = np.empty((B, T, 4 * H))
-    dh_carry = np.zeros((B, H))
-    dc_carry = np.zeros((B, H))
-    for t in range(T - 1, -1, -1):
-        gate = cache.gates[:, t]
-        i, f, o, g = gate[:, :H], gate[:, H : 2 * H], gate[:, 2 * H : 3 * H], gate[:, 3 * H :]
-        tc = cache.tanh_c[:, t]
-        c_prev = cache.c[:, t - 1] if t > 0 else np.zeros((B, H))
-        dh = dH[:, t] + dh_carry
+    """Exact gradient through both chains of one layer.
+
+    ``dH`` is dL/d(layer output), time-major (T, B, 2H). Returns the
+    parameter gradients keyed ``fwd.W`` … ``bwd.b`` and dL/dX, time-major.
+    dZ, the gradient with respect to the gate pre-activations, is stored
+    direction-major, (2, T, B, 4H) in step order, so each direction's
+    gradients come from contiguous 2-D GEMMs without copying dZ.
+    """
+    T, B, in_dim = cache.X.shape
+    H = layer.fwd.hidden
+    dHs = np.empty((T, 2, B, H))
+    dHs[:, 0] = dH[:, :, :H]
+    dHs[:, 1] = dH[::-1, :, H:]
+    U = np.stack([layer.fwd.U, layer.bwd.U])
+    dZ = np.empty((2, T, B, 4 * H))
+    dZ_steps = dZ.reshape(2, T, B, 4, H).transpose(1, 3, 0, 2, 4)
+    dh_carry = np.zeros((2, B, H))
+    dc_carry = np.zeros((2, B, H))
+    steps = cache.step_gates()
+    for s in range(T - 1, -1, -1):
+        i, f, o, g = steps[s]
+        tc = cache.tanh_c[s]
+        dh = dHs[s] + dh_carry
         do = dh * tc
         dc = dh * o * (1.0 - tc * tc) + dc_carry
-        dz = dZ[:, t]
-        dz[:, :H] = dc * g * i * (1 - i)
-        dz[:, H : 2 * H] = dc * c_prev * f * (1 - f)
-        dz[:, 2 * H : 3 * H] = do * o * (1 - o)
-        dz[:, 3 * H :] = dc * i * (1 - g * g)
+        dz_i, dz_f, dz_o, dz_g = dZ_steps[s]
+        np.multiply(dc * g * i, 1 - i, out=dz_i)
+        np.multiply(dc * cache.c[s] * f, 1 - f, out=dz_f)
+        np.multiply(do * o, 1 - o, out=dz_o)
+        np.multiply(dc * i, 1 - g * g, out=dz_g)
         dc_carry = dc * f
-        dh_carry = dz @ params.U
-    dZ_rows = dZ.reshape(B * T, 4 * H)
-    h_prev = np.concatenate([np.zeros((B, 1, H)), cache.h[:, :-1]], axis=1)
-    grads = {
-        "W": dZ_rows.T @ cache.X.reshape(B * T, in_dim),
-        "U": dZ_rows.T @ h_prev.reshape(B * T, H),
-        "b": dZ_rows.sum(axis=0),
-    }
-    return grads, (dZ_rows @ params.W).reshape(B, T, in_dim)
+        dh_carry = np.matmul(dZ[:, s], U)
+    X_steps = (cache.X, cache.X[::-1])
+    grads = {}
+    dX = []
+    for k, (tag, params) in enumerate((("fwd", layer.fwd), ("bwd", layer.bwd))):
+        dZ_rows = dZ[k].reshape(T * B, 4 * H)
+        grads[f"{tag}.W"] = dZ_rows.T @ X_steps[k].reshape(T * B, in_dim)
+        grads[f"{tag}.U"] = dZ_rows.T @ cache.h[:-1, k].reshape(T * B, H)
+        grads[f"{tag}.b"] = dZ_rows.sum(axis=0)
+        dX.append((dZ_rows @ params.W).reshape(T, B, in_dim))
+    return grads, dX[0] + dX[1][::-1]
 
 
 def forward_batch(
@@ -218,30 +294,33 @@ def forward_batch(
         raise DimensionError(
             f"expected batch of shape (B, T, {model.input_size}), got {X.shape}"
         )
+    B, T, _ = X.shape
+    H = model.width
     use_dropout = rng is not None and model.dropout_rate > 0.0
     keep = 1.0 - model.dropout_rate
-    direction_caches = []
+    layers = []
     dropout_masks: list[np.ndarray | None] = []
-    current = X
+    current = np.ascontiguousarray(X.transpose(1, 0, 2))
     for layer in model.layers:
-        fwd = _run_chain(layer.fwd, current)
-        bwd = _run_chain(layer.bwd, current[:, ::-1])
-        out = np.concatenate([fwd.h, bwd.h[:, ::-1]], axis=2)
+        cache = _layer_forward(layer, current)
+        out = np.empty((T, B, 2 * H))
+        out[:, :, :H] = cache.h[1:, 0]
+        out[:, :, H:] = cache.h[:0:-1, 1]
         if use_dropout:
-            mask = (rng.random(out.shape) < keep).astype(np.float64) / keep
-            out = out * mask
+            mask = (rng.random((B, T, 2 * H)) < keep).astype(np.float64) / keep
+            out *= mask.transpose(1, 0, 2)
         else:
             mask = None
-        direction_caches.append((fwd, bwd))
+        layers.append(cache)
         dropout_masks.append(mask)
         current = out
-    logits = current @ model.head_w + float(model.head_b)
-    probs = expit(logits)
+    head_input = current.transpose(1, 0, 2)
+    logits = head_input @ model.head_w + float(model.head_b)
     return _ForwardCache(
-        direction_caches=direction_caches,
+        layers=layers,
         dropout_masks=dropout_masks,
-        head_input=current,
-        probs=probs,
+        head_input=head_input,
+        probs=expit(logits),
     )
 
 
@@ -249,24 +328,18 @@ def backward_batch(
     model: BiLstmModel, cache: _ForwardCache, dlogits: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss given dL/dlogits of shape (B, T)."""
-    H = model.width
     grads: dict[str, np.ndarray] = {
         "head.w": np.einsum("bt,bth->h", dlogits, cache.head_input),
         "head.b": np.asarray(dlogits.sum()),
     }
-    dcurrent = dlogits[:, :, None] * model.head_w[None, None, :]
+    dcurrent = dlogits.T[:, :, None] * model.head_w
     for i in range(len(model.layers) - 1, -1, -1):
         mask = cache.dropout_masks[i]
         if mask is not None:
-            dcurrent = dcurrent * mask
-        fwd_cache, bwd_cache = cache.direction_caches[i]
-        layer = model.layers[i]
-        dfwd, dX_f = _chain_backward(layer.fwd, fwd_cache, dcurrent[:, :, :H])
-        dbwd, dX_b = _chain_backward(layer.bwd, bwd_cache, dcurrent[:, ::-1, H:])
-        for tag, block_grads in (("fwd", dfwd), ("bwd", dbwd)):
-            for name, g in block_grads.items():
-                grads[f"layer{i}.{tag}.{name}"] = g
-        dcurrent = dX_f + dX_b[:, ::-1]
+            dcurrent *= mask.transpose(1, 0, 2)
+        layer_grads, dcurrent = _layer_backward(model.layers[i], cache.layers[i], dcurrent)
+        for name, g in layer_grads.items():
+            grads[f"layer{i}.{name}"] = g
     return grads
 
 

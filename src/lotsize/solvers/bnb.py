@@ -3,17 +3,18 @@
 The exact flow test runs first, and a plan that pins every setup is answered
 without a relaxation. Then ``BnbOptions.ls_rounds`` rounds of (l,S)
 separation (``cuts.root_cut_loop``) may tighten the root; the loop's last LP
-is the root node. With cut rows, nodes are solved on the loop's own
-``LpWorkspace``: one persistent HiGHS model that holds the cut rows, where a
-node changes only the setup bounds and re-solves hot from the last basis.
-Without cut rows, nodes are solved in closed form by ``PathRelaxation``, the
-production greedy of ``pattern.py``. Search is best-bound first with
-deterministic FIFO tie-breaking, branching on the most fractional setup
-variable (ties to the earliest period). Integer candidates are re-evaluated
-exactly with the fixed-pattern solver so incumbent objectives carry no LP
-round-off. A cheap rounding-and-repair heuristic at the root guarantees an
-incumbent exists whenever the instance is feasible, so a time-limited run
-always returns its best solution so far; the limit covers the cut rounds.
+is the root node, also when the loop found no cut. With cut rows, nodes are
+solved on the loop's own ``LpWorkspace``: one persistent HiGHS model that
+holds the cut rows, where a node changes only the setup bounds and re-solves
+hot from the last basis. Without cut rows, nodes are solved in closed form
+by ``PathRelaxation``, the production greedy of ``pattern.py``. Search is
+best-bound first with deterministic FIFO tie-breaking, branching on the most
+fractional setup variable (ties to the earliest period). Integer candidates
+are re-evaluated exactly with the fixed-pattern solver so incumbent
+objectives carry no LP round-off. A cheap rounding-and-repair heuristic at
+the root guarantees an incumbent exists whenever the instance is feasible,
+so a time-limited run always returns its best solution so far; the limit
+covers the cut rounds.
 """
 
 from __future__ import annotations
@@ -131,11 +132,15 @@ def branch_and_bound(
     if opts.ls_rounds > 0:
         relaxation = LpWorkspace(inst)
         pool, bounds, root = root_cut_loop(inst, opts.ls_rounds, SEPARATION_TOL, plan, relaxation)
-        lp_solves = len(bounds)
-    if not pool:
+        lp_solves = len(bounds) + (root.status != LP_OPTIMAL)
+        if not pool:
+            # The loop's last LP stays the root; without cut rows the
+            # closed-form bound serves the children.
+            relaxation = PathRelaxation(inst)
+    else:
         relaxation = PathRelaxation(inst)
         root = relaxation.solve(fixed)
-        lp_solves += 1
+        lp_solves = 1
     nodes_explored = 1
     if root.status == LP_INFEASIBLE:
         return infeasible_solution(inst.T, stats())

@@ -251,6 +251,24 @@ class TestTrainPredictEvaluateReport:
         assert len(records) == 4 * len(rows)
         assert all(float(r["time_ml_s"]) >= 5.0 for r in records)
 
+    def test_untimed_probability_rows_are_counted(self, dataset_dir, tmp_path):
+        # A row without predict_s is read as 0 s; the evaluate manifest counts such rows.
+        probs_dir = tmp_path / "lr"
+        assert run("predict", "--dataset", dataset_dir, "--baseline", "logistic",
+                   "--out", probs_dir) == 0
+        rows = [json.loads(l) for l in open(probs_dir / "probs.jsonl")]
+        untimed = tmp_path / "untimed.jsonl"
+        untimed.write_text("".join(
+            json.dumps({k: v for k, v in r.items() if k != "predict_s" or i % 2}) + "\n"
+            for i, r in enumerate(rows)
+        ))
+        for probs, expected in ((probs_dir / "probs.jsonl", 0), (untimed, (len(rows) + 1) // 2)):
+            out = tmp_path / f"eval-{expected}"
+            assert run("evaluate", "--dataset", dataset_dir, "--probs", probs, "--levels", "50",
+                       "--out", out) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["inputs"] == {"probability_rows_without_predict_s": expected}
+
     def test_evaluate_rejects_jobs(self, dataset_dir, tmp_path):
         # evaluate runs in one process; a --jobs flag would be accepted and ignored.
         proc = subprocess.run(
@@ -325,7 +343,10 @@ def _corrupt(kind: str, dataset_dir: Path, tmp: Path) -> list:
             lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
         else:
             row = json.loads(lines[1])
-            row["instance"]["d"][0] += 0.5
+            if kind == "dataset-fractional-horizon":
+                row["instance"]["T"] += 0.5
+            else:
+                row["instance"]["d"][0] += 0.5
             lines[1] = json.dumps(row) + "\n"
         (ds / "test.jsonl").write_text("".join(lines))
         return ["solve", "--dataset", ds, "--solver", "dp", "--out", tmp / "o"]
@@ -340,7 +361,8 @@ def _corrupt(kind: str, dataset_dir: Path, tmp: Path) -> list:
 
 @pytest.mark.parametrize("kind", [
     "probs-truncated", "probs-string", "probs-missing",
-    "dataset-truncated", "dataset-fractional-demand", "records-truncated", "records-z-star",
+    "dataset-truncated", "dataset-fractional-demand", "dataset-fractional-horizon",
+    "records-truncated", "records-z-star",
 ])
 def test_malformed_input_file_is_usage_error(kind, dataset_dir, tmp_path):
     argv = _corrupt(kind, dataset_dir, tmp_path)
@@ -351,6 +373,23 @@ def test_malformed_input_file_is_usage_error(kind, dataset_dir, tmp_path):
     assert proc.returncode == EXIT_USAGE, proc.stderr
     assert "Traceback" not in proc.stderr
     assert ":2: malformed entry" in proc.stderr
+
+
+@pytest.mark.parametrize("field,value", [("T", 8.5), ("seed", 1.5), ("c_ratio", 3.9)])
+def test_fractional_meta_parameter_is_usage_error(field, value, dataset_dir, tmp_path):
+    ds = tmp_path / "ds"
+    shutil.copytree(dataset_dir, ds)
+    meta = json.loads((ds / "meta.json").read_text())
+    meta["gen_params"][field] = value
+    (ds / "meta.json").write_text(json.dumps(meta) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "lotsize.cli", "solve", "--dataset", str(ds), "--solver", "dp",
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "meta.json:1: malformed entry" in proc.stderr and field in proc.stderr
 
 
 class TestConfigFile:

@@ -112,8 +112,8 @@ class TestInstanceValidation:
         assert Instance.from_dict(e1.to_dict()) == e1
 
     @pytest.mark.parametrize("field,value", [
-        ("d", [2.5, 1]), ("cap", [3.7, 3]), ("s0", 1.5), ("d", [float("nan"), 1]),
-    ], ids=["d", "cap", "s0", "d-nan"])
+        ("d", [2.5, 1]), ("cap", [3.7, 3]), ("s0", 1.5), ("d", [float("nan"), 1]), ("T", 2.5),
+    ], ids=["d", "cap", "s0", "d-nan", "T"])
     def test_fractional_integer_data_rejected(self, field, value):
         data = dict(T=2, d=[2, 1], p=[1, 1], f=[1, 1], h=[1, 1], cap=[3, 3], s0=0)
         data[field] = value
@@ -123,8 +123,9 @@ class TestInstanceValidation:
             Instance.from_dict(data)
 
     def test_integral_floats_accepted(self):
-        inst = Instance(T=2, d=[2.0, 1.0], p=[1, 1], f=[1, 1], h=[1, 1], cap=[3.0, 3.0], s0=1.0)
+        inst = Instance(T=2.0, d=[2.0, 1.0], p=[1, 1], f=[1, 1], h=[1, 1], cap=[3.0, 3.0], s0=1.0)
         assert inst.d.tolist() == [2, 1] and inst.cap.tolist() == [3, 3] and inst.s0 == 1
+        assert type(inst.T) is int and inst.T == 2
 
 
 class TestFixPlan:

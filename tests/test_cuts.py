@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lotsize import FixPlan, Instance, check_solution
+from lotsize import FixPlan, GenParams, Instance, check_solution, generate_instance
 from lotsize.errors import ValidationError
 from lotsize.solvers import (
     BnbOptions,
@@ -208,6 +208,29 @@ class TestRelaxationsSolvedOnce:
                     sol = solve_with_ls_cuts(inst, rounds, plan=plan)
                     assert len(set(solves)) == len(solves)
                     assert sol.stats.lp_solves == len(solves)
+
+    def test_root_is_the_loops_last_lp_when_no_cut_is_found(self, solves):
+        """Each node costs one LP beyond the cut loop, whose last LP is the root."""
+        params = GenParams(c_ratio=3, f_ratio=100, T=20, demand_range=(1, 60), seed=4)
+        cases = [(generate_instance(params, 110), FixPlan({t: 1 for t in range(1, 16)}))]
+        rng = np.random.default_rng(27)
+        for inst in generated_instances(8, seed=27, T=8):
+            fixed = rng.choice(np.arange(1, inst.T + 1), size=3, replace=False)
+            cases.append((inst, FixPlan({int(t): 1 for t in fixed})))
+        for inst, plan in cases:
+            for rounds in (1, 3):
+                solves.clear()
+                sol = solve_with_ls_cuts(inst, rounds, plan=plan)
+                root_key = tuple(sorted(dict(plan.entries).items()))
+                loop_lps = sum(
+                    1 for name, _, key in solves if name == "LpWorkspace" and key == root_key
+                )
+                assert sol.stats.lp_solves == loop_lps + sol.stats.nodes_explored - 1
+                assert sol.stats.lp_solves == len(solves)
+        # The repro case: the loop finds no cut, so its one LP is the root.
+        first = solve_with_ls_cuts(cases[0][0], 3, plan=cases[0][1]).stats
+        assert first.cuts_added == 0 and first.nodes_explored > 1
+        assert first.lp_solves == first.nodes_explored
 
     def test_negative_rounds_rejected(self):
         with pytest.raises(ValidationError):

@@ -68,6 +68,21 @@ class TestGenerateInstance:
         with pytest.raises(ValidationError):
             GenParams(c_ratio=3, f_ratio=10.0, T=5, demand_range=(5, 2))
 
+    @pytest.mark.parametrize("field,value", [
+        ("T", 20.7), ("seed", 1.5), ("c_ratio", 3.9), ("demand_range", [1.5, 60]),
+    ])
+    def test_fractional_integer_params_rejected(self, field, value):
+        data = {"c_ratio": 3, "f_ratio": 100.0, "T": 20, "demand_range": [1, 60], "seed": 1}
+        data[field] = value
+        with pytest.raises(ValidationError, match=field):
+            GenParams.from_dict(data)
+
+    def test_integral_float_params_accepted(self):
+        data = {"c_ratio": 3.0, "f_ratio": 100.0, "T": 20.0, "demand_range": [1, 60], "seed": 1.0}
+        params = GenParams.from_dict(data)
+        assert (params.c_ratio, params.T, params.seed) == (3, 20, 1)
+        assert all(type(v) is int for v in (params.c_ratio, params.T, params.seed))
+
 
 class TestGenerateDataset:
     def test_split_fractions(self):
