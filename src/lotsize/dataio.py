@@ -129,7 +129,8 @@ def write_probabilities(path: str | Path, ids: list[str], preds: list[Prediction
 def read_probabilities(path: str | Path) -> tuple[dict[str, PredictionVector], int]:
     """Predictions by instance id, and how many rows had no ``predict_s``.
 
-    A row without ``predict_s`` is read as taking 0 seconds.
+    A row without ``predict_s`` is read as taking 0 seconds. A repeated
+    ``instance_id`` is a malformed row.
     """
     path = Path(path)
     if not path.exists():
@@ -146,7 +147,10 @@ def read_probabilities(path: str | Path) -> tuple[dict[str, PredictionVector], i
                 seconds = float(row.get("predict_s", 0.0))
                 if not 0.0 <= seconds < float("inf"):
                     raise ValueError(f"predict_s must be a finite non-negative time, got {seconds}")
-                out[row["instance_id"]] = PredictionVector(
+                iid = row["instance_id"]
+                if iid in out:
+                    raise ValueError(f"instance_id {iid!r} repeats an earlier row")
+                out[iid] = PredictionVector(
                     probs=[float(v) for v in row["probs"]],
                     source=str(row.get("source", "")),
                     predict_seconds=seconds,

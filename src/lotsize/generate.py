@@ -9,21 +9,24 @@ reproducible and order-independent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .core import STATUS_OPTIMAL, FixPlan, Instance, Solution, as_integer, flow_feasible
+from .core import (
+    STATUS_OPTIMAL,
+    FixPlan,
+    Instance,
+    Solution,
+    as_integer,
+    flow_feasible,
+    _round_half_up,
+)
 from .errors import DatasetError, GenerationError, ValidationError
 
 SPLIT_FRACTIONS = (0.64, 0.16, 0.20)
 REDRAW_BUDGET = 1000
-
-
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
 
 
 @dataclass(frozen=True)

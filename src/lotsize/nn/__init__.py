@@ -1,7 +1,5 @@
 from .lstm import (
     BiLstmModel,
-    DirectionParams,
-    LayerParams,
     backward_batch,
     bilstm_forward,
     forward_batch,
@@ -31,11 +29,9 @@ from .train import (
 __all__ = [
     "AdamState",
     "BiLstmModel",
-    "DirectionParams",
     "EpochStats",
     "FEATURE_COLUMNS",
     "FORMAT_VERSION",
-    "LayerParams",
     "Standardizer",
     "TrainConfig",
     "TrainResult",

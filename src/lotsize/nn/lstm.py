@@ -10,10 +10,19 @@ both directions, and each step makes one batched ``h @ U.T`` for the
 (2, B, H) states and writes its gate and cell updates in place. The
 backward pass runs the same way, in reverse step order. Gates use the
 standard cell recurrences, stacked in the weight matrices as (input,
-forget, output, candidate); parameters stay per direction. Dropout with
-inverted scaling follows every bidirectional layer when, and only when, the
-caller passes an ``rng``. An affine head plus sigmoid maps the final
-concatenation to one probability per period.
+forget, output, candidate). Dropout with inverted scaling follows every
+bidirectional layer when, and only when, the caller passes an ``rng``. An
+affine head plus sigmoid maps the final concatenation to one probability
+per period.
+
+Every parameter lives in one flat vector, ``BiLstmModel.theta``. Layer
+``i`` reads it through a view triple stacked on the direction axis (0
+forward, 1 backward): ``W`` (2, 4H, in_dim), ``U`` (2, 4H, H) and ``b``
+(2, 4H); the head's ``w`` (2H,) and 0-d ``b`` end the vector. The
+recurrence uses these views as they are, so no weight is copied per call,
+and ``backward_batch`` returns one gradient vector in the same layout.
+``parameters()`` names the per-direction views ``layer{i}.{fwd,bwd}.{W,U,b}``
+…, ``head.w``, ``head.b``, in the order of the model file.
 
 Everything is float64 so analytic gradients can be checked against central
 finite differences at tight tolerances.
@@ -21,47 +30,52 @@ finite differences at tight tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
 from ..errors import DimensionError, ValidationError
-from .standardize import Standardizer
+from .standardize import Standardizer, instance_features
+
+LayerViews = tuple[np.ndarray, np.ndarray, np.ndarray]  # W, U, b of one layer
 
 
-@dataclass
-class DirectionParams:
-    """Stacked gate parameters for one time direction of one layer."""
-
-    W: np.ndarray  # (4H, in_dim) input weights
-    U: np.ndarray  # (4H, H) recurrent weights
-    b: np.ndarray  # (4H,)
-
-    @property
-    def hidden(self) -> int:
-        return self.U.shape[1]
-
-
-@dataclass
-class LayerParams:
-    fwd: DirectionParams
-    bwd: DirectionParams
+def _block_shapes(layer_count: int, width: int, input_size: int) -> list[tuple[int, ...]]:
+    """Shapes of the parameter blocks in ``theta`` order."""
+    shapes: list[tuple[int, ...]] = []
+    in_dim = input_size
+    for _ in range(layer_count):
+        shapes += [(2, 4 * width, in_dim), (2, 4 * width, width), (2, 4 * width)]
+        in_dim = 2 * width
+    return shapes + [(2 * width,), ()]
 
 
 @dataclass
 class BiLstmModel:
-    layers: list[LayerParams]
-    head_w: np.ndarray  # (2H,)
-    head_b: np.ndarray  # scalar, kept 0-d for uniform parameter handling
+    theta: np.ndarray  # every parameter, flat float64, in the layout above
+    layer_count: int
     width: int
     input_size: int
     dropout_rate: float
     standardizer: Standardizer | None = None
+    layers: list[LayerViews] = field(init=False, repr=False)
+    head_w: np.ndarray = field(init=False, repr=False)  # (2H,) view
+    head_b: np.ndarray = field(init=False, repr=False)  # 0-d view
 
-    @property
-    def layer_count(self) -> int:
-        return len(self.layers)
+    def __post_init__(self):
+        self.layers, self.head_w, self.head_b = self._views(self.theta)
+
+    def _views(self, vec: np.ndarray) -> tuple[list[LayerViews], np.ndarray, np.ndarray]:
+        """Per-layer (W, U, b) views, head w and head b of a ``theta``-shaped vector."""
+        shapes = _block_shapes(self.layer_count, self.width, self.input_size)
+        bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+        if vec.dtype != np.float64 or vec.shape != (bounds[-1],):
+            raise DimensionError(f"expected {bounds[-1]} float64 parameters, got {vec.shape}")
+        blocks = [vec[a:z].reshape(shape) for a, z, shape in zip(bounds, bounds[1:], shapes)]
+        layers = [tuple(blocks[k : k + 3]) for k in range(0, len(blocks) - 2, 3)]
+        return layers, blocks[-2], blocks[-1]
 
     @classmethod
     def initialize(
@@ -78,58 +92,40 @@ class BiLstmModel:
             raise ValidationError("layer count, width and input size must be positive")
         if not 0.0 <= dropout_rate < 1.0:
             raise ValidationError("dropout rate must lie in [0, 1)")
-        rng = np.random.default_rng(seed)
-
-        def direction(in_dim: int) -> DirectionParams:
-            kw = 1.0 / np.sqrt(in_dim)
-            ku = 1.0 / np.sqrt(width)
-            W = rng.uniform(-kw, kw, size=(4 * width, in_dim))
-            U = rng.uniform(-ku, ku, size=(4 * width, width))
-            b = np.zeros(4 * width)
-            b[width : 2 * width] = 1.0
-            return DirectionParams(W=W, U=U, b=b)
-
-        layers = []
-        in_dim = input_size
-        for _ in range(layer_count):
-            layers.append(LayerParams(fwd=direction(in_dim), bwd=direction(in_dim)))
-            in_dim = 2 * width
-        kh = 1.0 / np.sqrt(2 * width)
-        head_w = rng.uniform(-kh, kh, size=2 * width)
-        head_b = np.zeros(())
-        return cls(
-            layers=layers,
-            head_w=head_w,
-            head_b=head_b,
+        shapes = _block_shapes(layer_count, width, input_size)
+        model = cls(
+            theta=np.zeros(sum(math.prod(shape) for shape in shapes)),
+            layer_count=layer_count,
             width=width,
             input_size=input_size,
             dropout_rate=dropout_rate,
             standardizer=standardizer,
         )
+        rng = np.random.default_rng(seed)
+        ku = 1.0 / np.sqrt(width)
+        for W, U, b in model.layers:
+            kw = 1.0 / np.sqrt(W.shape[2])
+            for k in range(2):
+                W[k] = rng.uniform(-kw, kw, size=W.shape[1:])
+                U[k] = rng.uniform(-ku, ku, size=U.shape[1:])
+            b[:, width : 2 * width] = 1.0
+        kh = 1.0 / np.sqrt(2 * width)
+        model.head_w[:] = rng.uniform(-kh, kh, size=2 * width)
+        return model
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        """Named parameters in the documented fixed sequence."""
+    def parameters(self, vec: np.ndarray | None = None) -> dict[str, np.ndarray]:
+        """Named views of ``theta``, or of a vector in its layout such as a
+        gradient, in the documented fixed sequence."""
+        layers, head_w, head_b = self._views(self.theta if vec is None else vec)
         out: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.layers):
-            for tag, block in (("fwd", layer.fwd), ("bwd", layer.bwd)):
-                out[f"layer{i}.{tag}.W"] = block.W
-                out[f"layer{i}.{tag}.U"] = block.U
-                out[f"layer{i}.{tag}.b"] = block.b
-        out["head.w"] = self.head_w
-        out["head.b"] = self.head_b
+        for i, (W, U, b) in enumerate(layers):
+            for k, tag in enumerate(("fwd", "bwd")):
+                out[f"layer{i}.{tag}.W"] = W[k]
+                out[f"layer{i}.{tag}.U"] = U[k]
+                out[f"layer{i}.{tag}.b"] = b[k]
+        out["head.w"] = head_w
+        out["head.b"] = head_b
         return out
-
-    def set_parameters(self, params: dict[str, np.ndarray]) -> None:
-        for i, layer in enumerate(self.layers):
-            for tag, block in (("fwd", layer.fwd), ("bwd", layer.bwd)):
-                block.W = np.array(params[f"layer{i}.{tag}.W"], dtype=np.float64)
-                block.U = np.array(params[f"layer{i}.{tag}.U"], dtype=np.float64)
-                block.b = np.array(params[f"layer{i}.{tag}.b"], dtype=np.float64)
-        self.head_w = np.array(params["head.w"], dtype=np.float64)
-        self.head_b = np.array(params["head.b"], dtype=np.float64)
-
-    def copy_parameters(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.parameters().items()}
 
 
 @dataclass
@@ -188,7 +184,7 @@ class _ForwardCache:
         return [(layer.direction(0), layer.direction(1)) for layer in self.layers]
 
 
-def _layer_forward(layer: LayerParams, X: np.ndarray) -> _LayerCache:
+def _layer_forward(W: np.ndarray, U: np.ndarray, b: np.ndarray, X: np.ndarray) -> _LayerCache:
     """Both chains of one layer over a time-major (T, B, in_dim) input.
 
     One GEMM projects the input for both directions before the loop; each
@@ -198,14 +194,12 @@ def _layer_forward(layer: LayerParams, X: np.ndarray) -> _LayerCache:
     activated gates back into the cache.
     """
     T, B, in_dim = X.shape
-    H = layer.fwd.hidden
-    Z = (X.reshape(T * B, in_dim) @ np.concatenate([layer.fwd.W, layer.bwd.W]).T).reshape(
-        T, B, 2, 4 * H
-    )
+    H = U.shape[2]
+    Z = (X.reshape(T * B, in_dim) @ W.reshape(8 * H, in_dim).T).reshape(T, B, 2, 4 * H)
     gates = np.empty((2, T, B, 4 * H))
-    np.add(Z[:, :, 0], layer.fwd.b, out=gates[0])
-    np.add(Z[::-1, :, 1], layer.bwd.b, out=gates[1])
-    UT = np.stack([layer.fwd.U.T, layer.bwd.U.T])
+    np.add(Z[:, :, 0], b[0], out=gates[0])
+    np.add(Z[::-1, :, 1], b[1], out=gates[1])
+    UT = U.transpose(0, 2, 1)
     c = np.empty((T + 1, 2, B, H))
     h = np.empty((T + 1, 2, B, H))
     c[0] = 0.0
@@ -235,22 +229,22 @@ def _layer_forward(layer: LayerParams, X: np.ndarray) -> _LayerCache:
 
 
 def _layer_backward(
-    layer: LayerParams, cache: _LayerCache, dH: np.ndarray
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    W: np.ndarray, U: np.ndarray, cache: _LayerCache, dH: np.ndarray, grad: LayerViews
+) -> np.ndarray:
     """Exact gradient through both chains of one layer.
 
-    ``dH`` is dL/d(layer output), time-major (T, B, 2H). Returns the
-    parameter gradients keyed ``fwd.W`` … ``bwd.b`` and dL/dX, time-major.
-    dZ, the gradient with respect to the gate pre-activations, is stored
-    direction-major, (2, T, B, 4H) in step order, so each direction's
-    gradients come from contiguous 2-D GEMMs without copying dZ.
+    ``dH`` is dL/d(layer output), time-major (T, B, 2H). Writes the
+    parameter gradients into the (dW, dU, db) views ``grad`` and returns
+    dL/dX, time-major. dZ, the gradient with respect to the gate
+    pre-activations, is stored direction-major, (2, T, B, 4H) in step order,
+    so each direction's gradients come from contiguous 2-D GEMMs without
+    copying dZ.
     """
     T, B, in_dim = cache.X.shape
-    H = layer.fwd.hidden
+    H = U.shape[2]
     dHs = np.empty((T, 2, B, H))
     dHs[:, 0] = dH[:, :, :H]
     dHs[:, 1] = dH[::-1, :, H:]
-    U = np.stack([layer.fwd.U, layer.bwd.U])
     dZ = np.empty((2, T, B, 4 * H))
     dZ_steps = dZ.reshape(2, T, B, 4, H).transpose(1, 3, 0, 2, 4)
     dh_carry = np.zeros((2, B, H))
@@ -270,15 +264,15 @@ def _layer_backward(
         dc_carry = dc * f
         dh_carry = np.matmul(dZ[:, s], U)
     X_steps = (cache.X, cache.X[::-1])
-    grads = {}
+    dW, dU, db = grad
     dX = []
-    for k, (tag, params) in enumerate((("fwd", layer.fwd), ("bwd", layer.bwd))):
+    for k in range(2):
         dZ_rows = dZ[k].reshape(T * B, 4 * H)
-        grads[f"{tag}.W"] = dZ_rows.T @ X_steps[k].reshape(T * B, in_dim)
-        grads[f"{tag}.U"] = dZ_rows.T @ cache.h[:-1, k].reshape(T * B, H)
-        grads[f"{tag}.b"] = dZ_rows.sum(axis=0)
-        dX.append((dZ_rows @ params.W).reshape(T, B, in_dim))
-    return grads, dX[0] + dX[1][::-1]
+        np.matmul(dZ_rows.T, X_steps[k].reshape(T * B, in_dim), out=dW[k])
+        np.matmul(dZ_rows.T, cache.h[:-1, k].reshape(T * B, H), out=dU[k])
+        np.sum(dZ_rows, axis=0, out=db[k])
+        dX.append((dZ_rows @ W[k]).reshape(T, B, in_dim))
+    return dX[0] + dX[1][::-1]
 
 
 def forward_batch(
@@ -301,8 +295,8 @@ def forward_batch(
     layers = []
     dropout_masks: list[np.ndarray | None] = []
     current = np.ascontiguousarray(X.transpose(1, 0, 2))
-    for layer in model.layers:
-        cache = _layer_forward(layer, current)
+    for W, U, b in model.layers:
+        cache = _layer_forward(W, U, b, current)
         out = np.empty((T, B, 2 * H))
         out[:, :, :H] = cache.h[1:, 0]
         out[:, :, H:] = cache.h[:0:-1, 1]
@@ -324,23 +318,21 @@ def forward_batch(
     )
 
 
-def backward_batch(
-    model: BiLstmModel, cache: _ForwardCache, dlogits: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss given dL/dlogits of shape (B, T)."""
-    grads: dict[str, np.ndarray] = {
-        "head.w": np.einsum("bt,bth->h", dlogits, cache.head_input),
-        "head.b": np.asarray(dlogits.sum()),
-    }
+def backward_batch(model: BiLstmModel, cache: _ForwardCache, dlogits: np.ndarray) -> np.ndarray:
+    """Gradient of a scalar loss given dL/dlogits of shape (B, T), as one
+    vector in the layout of ``model.theta``."""
+    grad = np.empty_like(model.theta)
+    layer_grads, head_w, head_b = model._views(grad)
+    head_w[:] = np.einsum("bt,bth->h", dlogits, cache.head_input)
+    head_b[...] = dlogits.sum()
     dcurrent = dlogits.T[:, :, None] * model.head_w
-    for i in range(len(model.layers) - 1, -1, -1):
+    for i in range(model.layer_count - 1, -1, -1):
         mask = cache.dropout_masks[i]
         if mask is not None:
             dcurrent *= mask.transpose(1, 0, 2)
-        layer_grads, dcurrent = _layer_backward(model.layers[i], cache.layers[i], dcurrent)
-        for name, g in layer_grads.items():
-            grads[f"layer{i}.{name}"] = g
-    return grads
+        W, U, _ = model.layers[i]
+        dcurrent = _layer_backward(W, U, cache.layers[i], dcurrent, layer_grads[i])
+    return grad
 
 
 def bilstm_forward(model: BiLstmModel, features: np.ndarray) -> np.ndarray:
@@ -355,8 +347,6 @@ def bilstm_forward(model: BiLstmModel, features: np.ndarray) -> np.ndarray:
 
 def predict_instance(model: BiLstmModel, inst) -> np.ndarray:
     """Standardize an instance with the model's own statistics and run it."""
-    from .standardize import instance_features
-
     if model.standardizer is None:
         raise ValidationError("model has no standardizer attached")
     return bilstm_forward(model, model.standardizer.transform(instance_features(inst)))

@@ -105,7 +105,7 @@ def _decode(raw: bytes) -> BiLstmModel:
         standardizer=standardizer,
     )
     expected = model.parameters()
-    params: dict[str, np.ndarray] = {}
+    loaded: set[str] = set()
     for entry in header["tensors"]:
         name = entry["name"]
         shape = tuple(entry["shape"])
@@ -115,11 +115,11 @@ def _decode(raw: bytes) -> BiLstmModel:
         blob = raw[offset : offset + 8 * count]
         if len(blob) != 8 * count:
             raise ModelFormatError(f"truncated tensor data for {name}")
-        params[name] = np.frombuffer(blob, dtype="<f8").reshape(shape).astype(np.float64)
+        expected[name][...] = np.frombuffer(blob, dtype="<f8").reshape(shape)
+        loaded.add(name)
         offset += 8 * count
     if offset != len(raw):
         raise ModelFormatError("trailing bytes after declared tensors")
-    if set(params) != set(expected):
+    if loaded != set(expected):
         raise ModelFormatError("tensor list does not cover the declared architecture")
-    model.set_parameters(params)
     return model

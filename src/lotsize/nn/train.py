@@ -1,6 +1,7 @@
 """Loss, optimizer and the minibatch training loop.
 
-Training minimizes mean binary cross-entropy with Adam. Per epoch the loop
+Training minimizes mean binary cross-entropy with Adam, which updates the
+model's flat parameter vector and its moment estimates in place. Per epoch the loop
 records the training loss and validation accuracy, keeps the parameters of
 the best validation epoch, and stops early after a patience window without
 improvement. Dropout applies only to the training batches, because only
@@ -11,7 +12,7 @@ Everything is deterministic given the config seed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,14 +22,16 @@ from .lstm import BiLstmModel, backward_batch, forward_batch
 from .standardize import Standardizer, instance_features
 
 PROB_CLIP = 1e-12
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# Validation batches are cut to this many instances to bound the forward caches.
+EVAL_CHUNK = 256
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 64
     max_epochs: int = 100
     early_stop_patience: int = 10
@@ -59,8 +62,8 @@ def batch_loss_and_grads(
     X: np.ndarray,
     Y: np.ndarray,
     rng: np.random.Generator | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean loss over a (B, T, F) batch and exact gradients for it.
+) -> tuple[float, np.ndarray]:
+    """Mean loss over a (B, T, F) batch and its exact gradient vector.
 
     Dropout masks, sampled from ``rng`` when one is passed, are held fixed
     for the backward pass, so the gradients are exact for the masked loss.
@@ -69,47 +72,46 @@ def batch_loss_and_grads(
     cache = forward_batch(model, X, rng)
     loss = bce_loss(Y, cache.probs)
     dlogits = (np.clip(cache.probs, PROB_CLIP, 1.0 - PROB_CLIP) - Y) / Y.size
-    grads = backward_batch(model, cache, dlogits)
-    return loss, grads
+    return loss, backward_batch(model, cache, dlogits)
 
 
-@dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    step: int = 0
+    """Adam's moment estimates for a flat parameter vector, its step count,
+    and two work buffers so that a step allocates nothing."""
 
-    @classmethod
-    def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-            step=0,
-        )
+    def __init__(self, size: int):
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.step = 0
+        self.work = np.empty((2, size))
 
 
 def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    config: TrainConfig,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update; purely functional."""
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
-    t = state.step + 1
-    new_params: dict[str, np.ndarray] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    for k, p in params.items():
-        g = grads[k]
-        m = b1 * state.m[k] + (1 - b1) * g
-        v = b2 * state.v[k] + (1 - b2) * g * g
-        m_hat = m / (1 - b1**t)
-        v_hat = v / (1 - b2**t)
-        new_params[k] = p - config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-        new_m[k] = m
-        new_v[k] = v
-    return new_params, AdamState(m=new_m, v=new_v, step=t)
+    theta: np.ndarray, grad: np.ndarray, state: AdamState, learning_rate: float
+) -> None:
+    """One bias-corrected Adam update of ``theta``, ``state.m`` and ``state.v``, in place.
+
+    Computes ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``theta -= lr * m_hat / (sqrt(v_hat) + eps)`` one operation at a time,
+    in that order, through the state's work buffers.
+    """
+    state.step += 1
+    m, v = state.m, state.v
+    step, denom = state.work
+    m *= ADAM_BETA1
+    np.multiply(grad, 1 - ADAM_BETA1, out=step)
+    m += step
+    v *= ADAM_BETA2
+    np.multiply(grad, 1 - ADAM_BETA2, out=step)
+    step *= grad
+    v += step
+    np.divide(v, 1 - ADAM_BETA2**state.step, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(m, 1 - ADAM_BETA1**state.step, out=step)
+    step *= learning_rate
+    step /= denom
+    theta -= step
 
 
 @dataclass(frozen=True)
@@ -133,14 +135,14 @@ def predictions_to_labels(probs: np.ndarray) -> np.ndarray:
     return (np.asarray(probs) >= 0.5).astype(np.int64)
 
 
-def accuracy_on_arrays(model: BiLstmModel, X: np.ndarray, Y: np.ndarray, chunk: int = 256) -> float:
+def accuracy_on_arrays(model: BiLstmModel, X: np.ndarray, Y: np.ndarray) -> float:
     """Fraction of correctly predicted (instance, period) pairs."""
     if len(X) == 0:
         raise ValidationError("accuracy requires a non-empty split")
     hits = 0
-    for start in range(0, len(X), chunk):
-        cache = forward_batch(model, X[start : start + chunk])
-        hits += int((predictions_to_labels(cache.probs) == Y[start : start + chunk]).sum())
+    for start in range(0, len(X), EVAL_CHUNK):
+        cache = forward_batch(model, X[start : start + EVAL_CHUNK])
+        hits += int((predictions_to_labels(cache.probs) == Y[start : start + EVAL_CHUNK]).sum())
     return hits / Y.size
 
 
@@ -172,11 +174,11 @@ def train(
     if n == 0:
         raise ValidationError("training split is empty")
     rng = np.random.default_rng(config.seed)
-    state = AdamState.for_params(model.parameters())
+    state = AdamState(model.theta.size)
     history: list[EpochStats] = []
     best_acc = -1.0
     best_epoch = -1
-    best_params = model.copy_parameters()
+    best_theta = model.theta.copy()
     t_start = time.perf_counter()
     for epoch in range(config.max_epochs):
         t_epoch = time.perf_counter()
@@ -184,11 +186,10 @@ def train(
         total_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            loss, grads = batch_loss_and_grads(model, X_train[idx], Y_train[idx], rng)
+            loss, grad = batch_loss_and_grads(model, X_train[idx], Y_train[idx], rng)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
-            params, state = adam_step(model.parameters(), grads, state, config)
-            model.set_parameters(params)
+            adam_step(model.theta, grad, state, config.learning_rate)
             total_loss += loss * len(idx)
         train_loss = total_loss / n
         val_acc = accuracy_on_arrays(model, *val_data)
@@ -203,10 +204,10 @@ def train(
         if val_acc > best_acc:
             best_acc = val_acc
             best_epoch = epoch
-            best_params = model.copy_parameters()
+            best_theta = model.theta.copy()
         elif epoch - best_epoch >= config.early_stop_patience:
             break
-    model.set_parameters(best_params)
+    model.theta[:] = best_theta
     return TrainResult(
         model=model,
         history=history,

@@ -18,7 +18,6 @@ modes are supported:
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -30,6 +29,7 @@ from .core import (
     Instance,
     Solution,
     flow_feasible,
+    _round_half_up,
 )
 from .errors import DimensionError, PartitionError, ValidationError
 from .nn.lstm import BiLstmModel, bilstm_forward
@@ -39,6 +39,7 @@ from .solvers.bnb import BnbOptions, branch_and_bound, repair_pattern
 MODE_HARD = "hard"
 MODE_SOFT = "soft"
 MODE_WARM = "warm"
+MODES = (MODE_HARD, MODE_SOFT, MODE_WARM)
 
 DEFAULT_LEVELS = (0, 25, 50, 75, 85, 90, 95, 100)
 
@@ -61,10 +62,6 @@ def validate_prediction(pred: PredictionVector, inst: Instance) -> None:
         raise ValidationError("prediction contains non-finite entries")
     if np.any(probs < 0.0) or np.any(probs > 1.0):
         raise ValidationError("prediction entries must lie in [0, 1]")
-
-
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
 
 
 def confidence_order(probs: np.ndarray) -> np.ndarray:

@@ -59,7 +59,7 @@ class LpWorkspace:
     ``PathRelaxation`` instead.
     """
 
-    def __init__(self, inst: Instance, extra_cuts=()):
+    def __init__(self, inst: Instance):
         T = inst.T
         self.inst = inst
         self.cuts: tuple = ()
@@ -84,7 +84,6 @@ class LpWorkspace:
         linking = [[(t, 1.0), (2 * T + t, -float(inst.cap[t]))] for t in range(T)]
         _add_rows(highs, np.full(T, -_highs.kHighsInf), np.zeros(T), linking)
         self._highs = highs
-        self.add_cuts(extra_cuts)
 
     def add_cuts(self, cuts) -> None:
         """Append one row per cut: sum_S x_t - sum_S coeff_t * y_t - s_ell <= 0."""

@@ -217,7 +217,9 @@ def test_criterion_4_cut_validity_and_bound():
             if cut.violation(opt.x, opt.y, opt.s) > 1e-6:
                 violations += 1
         plain_bound = bounds[0]
-        final_bound = LpWorkspace(inst, tuple(pool)).solve({}).objective
+        workspace = LpWorkspace(inst)
+        workspace.add_cuts(pool)
+        final_bound = workspace.solve({}).objective
         if final_bound < plain_bound - 1e-7:
             bound_regressions += 1
         if final_bound > plain_bound + 1e-7:

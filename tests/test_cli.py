@@ -333,6 +333,8 @@ def _corrupt(kind: str, dataset_dir: Path, tmp: Path) -> list:
             "probs-truncated": good_probs[:-5] + "\n",
             "probs-string": json.dumps({"instance_id": "test-000000", "probs": [0.5, "a"]}) + "\n",
             "probs-missing": json.dumps({"instance_id": "test-000000"}) + "\n",
+            "probs-repeated-id": json.dumps({"instance_id": "test-000000", "probs": [0.25] * 8})
+            + "\n",
         }[kind])
         return evaluate
     if kind.startswith("dataset"):
@@ -360,7 +362,7 @@ def _corrupt(kind: str, dataset_dir: Path, tmp: Path) -> list:
 
 
 @pytest.mark.parametrize("kind", [
-    "probs-truncated", "probs-string", "probs-missing",
+    "probs-truncated", "probs-string", "probs-missing", "probs-repeated-id",
     "dataset-truncated", "dataset-fractional-demand", "dataset-fractional-horizon",
     "records-truncated", "records-z-star",
 ])

@@ -116,7 +116,9 @@ class TestRootLoop:
                 pool, bounds, root = root_cut_loop(inst, rounds=rounds)
                 assert 1 <= len(bounds) <= rounds + 1
                 assert root.objective == bounds[-1]
-                final = LpWorkspace(inst, tuple(pool)).solve({})
+                workspace = LpWorkspace(inst)
+                workspace.add_cuts(pool)
+                final = workspace.solve({})
                 assert final.objective == pytest.approx(root.objective, rel=1e-9)
 
     def test_cuts_improve_some_root(self):

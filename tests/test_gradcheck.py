@@ -20,25 +20,18 @@ def finite_difference_check(model, X, Y, step=FD_STEP):
     floor agree or disagree only within measurement noise.
     """
     _, analytic = batch_loss_and_grads(model, X, Y)
-    base = model.copy_parameters()
+    base = model.theta.copy()
 
-    def loss_with(params):
-        model.set_parameters(params)
+    def loss_at(i, value):
+        model.theta[i] = value
         return _forward_loss(model, X, Y)
 
     worst = 0.0
-    for name, grad in analytic.items():
-        grad_flat = np.atleast_1d(grad).ravel()
-        size = np.atleast_1d(base[name]).size
-        for i in range(size):
-            plus = {k: v.copy() for k, v in base.items()}
-            np.atleast_1d(plus[name]).ravel()[i] += step
-            minus = {k: v.copy() for k, v in base.items()}
-            np.atleast_1d(minus[name]).ravel()[i] -= step
-            fd = (loss_with(plus) - loss_with(minus)) / (2 * step)
-            denom = max(abs(fd), abs(grad_flat[i]), 1e-6)
-            worst = max(worst, abs(fd - grad_flat[i]) / denom)
-    model.set_parameters(base)
+    for i in range(base.size):
+        fd = (loss_at(i, base[i] + step) - loss_at(i, base[i] - step)) / (2 * step)
+        model.theta[i] = base[i]
+        denom = max(abs(fd), abs(analytic[i]), 1e-6)
+        worst = max(worst, abs(fd - analytic[i]) / denom)
     return worst
 
 
@@ -62,15 +55,13 @@ class TestGradients:
         model = BiLstmModel.initialize(
             layer_count=1, width=3, dropout_rate=0.0, input_size=4, seed=5
         )
-        params = model.copy_parameters()
-        params["head.w"] = params["head.w"] * 1e4
-        params["head.b"] = np.asarray(0.0)
-        model.set_parameters(params)
+        model.head_w *= 1e4
+        model.head_b[...] = 0.0
         X = rng.normal(size=(1, 4, 4))
         probs = forward_batch(model, X).probs
         Y = (probs >= 0.5).astype(float)
-        _, grads = batch_loss_and_grads(model, X, Y)
-        norm = np.sqrt(sum(float(np.sum(np.square(g))) for g in grads.values()))
+        _, grad = batch_loss_and_grads(model, X, Y)
+        norm = np.sqrt(float(np.sum(np.square(grad))))
         assert norm < 1e-6
 
     def test_duplicated_example_leaves_mean_gradient(self):
@@ -84,8 +75,7 @@ class TestGradients:
         _, doubled = batch_loss_and_grads(
             model, np.concatenate([x, x]), np.concatenate([y, y])
         )
-        for k in single:
-            assert np.allclose(single[k], doubled[k], atol=1e-12)
+        assert np.allclose(single, doubled, atol=1e-12)
 
     def test_loss_descends_along_negative_gradient(self):
         rng = np.random.default_rng(13)
@@ -94,13 +84,10 @@ class TestGradients:
         )
         X = rng.normal(size=(3, 5, 4))
         Y = rng.integers(0, 2, size=(3, 5)).astype(float)
-        loss0, grads = batch_loss_and_grads(model, X, Y)
-        norm = np.sqrt(sum(float(np.sum(np.square(g))) for g in grads.values()))
+        loss0, grad = batch_loss_and_grads(model, X, Y)
+        norm = np.sqrt(float(np.sum(np.square(grad))))
         assert norm > 1e-8
         eta = 1e-4 / norm
-        stepped = {
-            k: v - eta * np.asarray(grads[k]) for k, v in model.copy_parameters().items()
-        }
-        model.set_parameters(stepped)
+        model.theta -= eta * grad
         loss1, _ = batch_loss_and_grads(model, X, Y)
         assert loss1 < loss0

@@ -11,8 +11,6 @@ from lotsize.core import Instance
 from lotsize.errors import DimensionError
 from lotsize.nn import (
     BiLstmModel,
-    DirectionParams,
-    LayerParams,
     batch_loss_and_grads,
     bce_loss,
     bilstm_forward,
@@ -36,44 +34,30 @@ def reversed_twin(model: BiLstmModel) -> BiLstmModel:
 
     Swaps the two direction blocks of every layer, swaps the halves of the
     input weight columns for layers fed by a concatenation, and swaps the
-    halves of the head weights.
+    halves of the head weights (rolling a 2H axis by H swaps its halves).
     """
     H = model.width
-
-    def swap_cols(W: np.ndarray, is_inner: bool) -> np.ndarray:
-        if not is_inner:
-            return W.copy()
-        return np.concatenate([W[:, H:], W[:, :H]], axis=1)
-
-    layers = []
-    for i, layer in enumerate(model.layers):
-        inner = i > 0
-        layers.append(
-            LayerParams(
-                fwd=DirectionParams(
-                    W=swap_cols(layer.bwd.W, inner), U=layer.bwd.U.copy(), b=layer.bwd.b.copy()
-                ),
-                bwd=DirectionParams(
-                    W=swap_cols(layer.fwd.W, inner), U=layer.fwd.U.copy(), b=layer.fwd.b.copy()
-                ),
-            )
-        )
-    head_w = np.concatenate([model.head_w[H:], model.head_w[:H]])
-    return BiLstmModel(
-        layers=layers,
-        head_w=head_w,
-        head_b=model.head_b.copy(),
+    twin = BiLstmModel(
+        theta=np.empty_like(model.theta),
+        layer_count=model.layer_count,
         width=model.width,
         input_size=model.input_size,
         dropout_rate=model.dropout_rate,
         standardizer=model.standardizer,
     )
+    for i, ((W, U, b), (tW, tU, tb)) in enumerate(zip(model.layers, twin.layers, strict=True)):
+        tW[:] = np.roll(W[::-1], H, axis=2) if i > 0 else W[::-1]
+        tU[:] = U[::-1]
+        tb[:] = b[::-1]
+    twin.head_w[:] = np.roll(model.head_w, H)
+    twin.head_b[...] = model.head_b
+    return twin
 
 
 class TestForward:
     def test_zero_parameters_give_half(self, rng):
         model = small_model()
-        model.set_parameters({k: np.zeros_like(v) for k, v in model.parameters().items()})
+        model.theta[:] = 0.0
         out = bilstm_forward(model, rng.normal(size=(5, 4)))
         assert np.all(out == 0.5)
 
@@ -137,30 +121,46 @@ class TestParameters:
 
     def test_forget_gate_bias_starts_open(self):
         model = small_model(width=5)
-        b = model.layers[0].fwd.b
+        b = model.parameters()["layer0.fwd.b"]
         assert np.all(b[5:10] == 1.0)
         assert np.all(b[:5] == 0.0)
 
     def test_copy_roundtrip(self):
         model = small_model()
-        params = model.copy_parameters()
         twin = small_model(seed=99)
-        twin.set_parameters(params)
+        twin.theta[:] = model.theta
+        params = model.parameters()
         for k, v in twin.parameters().items():
             assert np.array_equal(v, params[k])
+
+    def test_named_parameters_are_views_of_theta(self):
+        model = small_model(layers=2, width=3)
+        params = model.parameters()
+        assert sum(v.size for v in params.values()) == model.theta.size
+        for k, (name, view) in enumerate(params.items()):
+            assert np.shares_memory(view, model.theta), name
+            view[...] = k
+        for k, value in enumerate(params.values()):
+            assert np.all(value == k)
+        W, U, b = model.layers[1]
+        assert np.all(W[1] == params["layer1.bwd.W"]) and np.all(U[0] == params["layer1.fwd.U"])
+        assert np.all(b[1] == params["layer1.bwd.b"])
 
 
 # Reference implementation: each direction of each layer is its own chain,
 # run one after the other, batch-major, with the backward chain reading the
-# time-flipped input. ``forward_batch`` / ``backward_batch`` run both chains
-# of a layer as one stacked recurrence and must reproduce these numbers.
+# time-flipped input. Each chain reads its weights through the named views
+# of ``parameters()``, e.g. "layer0.bwd". ``forward_batch`` /
+# ``backward_batch`` run both chains of a layer as one stacked recurrence on
+# the stacked views and must reproduce these numbers.
 
 
-def _run_chain(params: DirectionParams, X: np.ndarray) -> dict[str, np.ndarray]:
+def _run_chain(params: dict, chain: str, X: np.ndarray) -> dict[str, np.ndarray]:
+    W, U, b = (params[f"{chain}.{name}"] for name in "WUb")
     B, T, in_dim = X.shape
-    H = params.hidden
-    Z = (X.reshape(B * T, in_dim) @ params.W.T + params.b).reshape(B, T, 4 * H)
-    UT = params.U.T
+    H = U.shape[1]
+    Z = (X.reshape(B * T, in_dim) @ W.T + b).reshape(B, T, 4 * H)
+    UT = U.T
     gates = np.empty((B, T, 4 * H))
     cs = np.empty((B, T, H))
     tanh_cs = np.empty((B, T, H))
@@ -182,9 +182,10 @@ def _run_chain(params: DirectionParams, X: np.ndarray) -> dict[str, np.ndarray]:
     return {"X": X, "gates": gates, "c": cs, "tanh_c": tanh_cs, "h": hs}
 
 
-def _chain_backward(params: DirectionParams, cache: dict, dH: np.ndarray):
+def _chain_backward(params: dict, chain: str, cache: dict, dH: np.ndarray):
+    W, U = params[f"{chain}.W"], params[f"{chain}.U"]
     B, T, in_dim = cache["X"].shape
-    H = params.hidden
+    H = U.shape[1]
     dZ = np.empty((B, T, 4 * H))
     dh_carry = np.zeros((B, H))
     dc_carry = np.zeros((B, H))
@@ -202,7 +203,7 @@ def _chain_backward(params: DirectionParams, cache: dict, dH: np.ndarray):
         dz[:, 2 * H : 3 * H] = do * o * (1 - o)
         dz[:, 3 * H :] = dc * i * (1 - g * g)
         dc_carry = dc * f
-        dh_carry = dz @ params.U
+        dh_carry = dz @ U
     dZ_rows = dZ.reshape(B * T, 4 * H)
     h_prev = np.concatenate([np.zeros((B, 1, H)), cache["h"][:, :-1]], axis=1)
     grads = {
@@ -210,17 +211,18 @@ def _chain_backward(params: DirectionParams, cache: dict, dH: np.ndarray):
         "U": dZ_rows.T @ h_prev.reshape(B * T, H),
         "b": dZ_rows.sum(axis=0),
     }
-    return grads, (dZ_rows @ params.W).reshape(B, T, in_dim)
+    return grads, (dZ_rows @ W).reshape(B, T, in_dim)
 
 
 def reference_forward(model: BiLstmModel, X: np.ndarray, rng=None) -> dict:
     use_dropout = rng is not None and model.dropout_rate > 0.0
     keep = 1.0 - model.dropout_rate
+    params = model.parameters()
     chains, masks = [], []
     current = X
-    for layer in model.layers:
-        fwd = _run_chain(layer.fwd, current)
-        bwd = _run_chain(layer.bwd, current[:, ::-1])
+    for i in range(model.layer_count):
+        fwd = _run_chain(params, f"layer{i}.fwd", current)
+        bwd = _run_chain(params, f"layer{i}.bwd", current[:, ::-1])
         out = np.concatenate([fwd["h"], bwd["h"][:, ::-1]], axis=2)
         mask = None
         if use_dropout:
@@ -234,24 +236,25 @@ def reference_forward(model: BiLstmModel, X: np.ndarray, rng=None) -> dict:
 
 
 def reference_backward(model: BiLstmModel, cache: dict, dlogits: np.ndarray) -> dict:
+    """Gradients by name, in the order of ``parameters()``."""
     H = model.width
+    params = model.parameters()
     grads = {
         "head.w": np.einsum("bt,bth->h", dlogits, cache["head_input"]),
         "head.b": np.asarray(dlogits.sum()),
     }
     dcurrent = dlogits[:, :, None] * model.head_w[None, None, :]
-    for i in range(len(model.layers) - 1, -1, -1):
+    for i in range(model.layer_count - 1, -1, -1):
         if cache["masks"][i] is not None:
             dcurrent = dcurrent * cache["masks"][i]
         fwd, bwd = cache["chains"][i]
-        layer = model.layers[i]
-        dfwd, dX_f = _chain_backward(layer.fwd, fwd, dcurrent[:, :, :H])
-        dbwd, dX_b = _chain_backward(layer.bwd, bwd, dcurrent[:, ::-1, H:])
+        dfwd, dX_f = _chain_backward(params, f"layer{i}.fwd", fwd, dcurrent[:, :, :H])
+        dbwd, dX_b = _chain_backward(params, f"layer{i}.bwd", bwd, dcurrent[:, ::-1, H:])
         for tag, block in (("fwd", dfwd), ("bwd", dbwd)):
             for name, g in block.items():
                 grads[f"layer{i}.{tag}.{name}"] = g
         dcurrent = dX_f + dX_b[:, ::-1]
-    return grads
+    return {name: grads[name] for name in params}
 
 
 class TestStackedRecurrenceParity:
@@ -283,7 +286,8 @@ class TestStackedRecurrenceParity:
                 for name, value in ref_chain.items():
                     assert np.array_equal(getattr(new_chain, name), value), name
 
-        loss, grads = batch_loss_and_grads(model, X, Y, np.random.default_rng(seed + 1))
+        loss, grad = batch_loss_and_grads(model, X, Y, np.random.default_rng(seed + 1))
+        grads = model.parameters(grad)
         assert loss == bce_loss(Y, ref["probs"])
         dlogits = (np.clip(ref["probs"], PROB_CLIP, 1.0 - PROB_CLIP) - Y) / Y.size
         ref_grads = reference_backward(model, ref, dlogits)

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -33,40 +37,43 @@ class TestBceLoss:
 
 
 class TestAdam:
+    LR = 0.01
+
     def _setup(self):
-        params = {"w": np.array([1.0, -2.0, 3.0])}
-        return params, AdamState.for_params(params), TrainConfig(learning_rate=0.01)
+        return np.array([1.0, -2.0, 3.0]), AdamState(3)
 
     def test_zero_gradient_from_rest_keeps_params(self):
-        params, state, config = self._setup()
-        new_params, new_state = adam_step(params, {"w": np.zeros(3)}, state, config)
-        assert np.array_equal(new_params["w"], params["w"])
-        assert np.all(new_state.m["w"] == 0.0) and np.all(new_state.v["w"] == 0.0)
+        theta, state = self._setup()
+        before = theta.copy()
+        adam_step(theta, np.zeros(3), state, self.LR)
+        assert np.array_equal(theta, before)
+        assert np.all(state.m == 0.0) and np.all(state.v == 0.0)
 
     def test_zero_gradient_decays_moments(self):
-        params, state, config = self._setup()
-        state.m = {"w": np.array([0.5, 0.5, 0.5])}
-        state.v = {"w": np.array([0.25, 0.25, 0.25])}
-        _, new_state = adam_step(params, {"w": np.zeros(3)}, state, config)
-        assert np.all(np.abs(new_state.m["w"]) < np.abs(state.m["w"]))
-        assert np.all(new_state.v["w"] < state.v["w"])
+        theta, state = self._setup()
+        state.m[:] = 0.5
+        state.v[:] = 0.25
+        adam_step(theta, np.zeros(3), state, self.LR)
+        assert np.all(np.abs(state.m) < 0.5)
+        assert np.all(state.v < 0.25)
 
     def test_first_step_magnitude(self):
-        params, state, config = self._setup()
-        grads = {"w": np.array([10.0, -0.001, 2.0])}
-        new_params, _ = adam_step(params, grads, state, config)
-        steps = params["w"] - new_params["w"]
-        assert np.all(np.abs(steps) <= config.learning_rate * (1 + 1e-6))
-        assert np.allclose(np.abs(steps), config.learning_rate, rtol=1e-4)
-        assert np.all(np.sign(steps) == np.sign(grads["w"]))
+        theta, state = self._setup()
+        before = theta.copy()
+        grad = np.array([10.0, -0.001, 2.0])
+        adam_step(theta, grad, state, self.LR)
+        steps = before - theta
+        assert np.all(np.abs(steps) <= self.LR * (1 + 1e-6))
+        assert np.allclose(np.abs(steps), self.LR, rtol=1e-4)
+        assert np.all(np.sign(steps) == np.sign(grad))
 
     def test_deterministic(self):
-        params, state, config = self._setup()
-        grads = {"w": np.array([1.0, 2.0, 3.0])}
-        a_params, a_state = adam_step(params, grads, state, config)
-        b_params, b_state = adam_step(params, grads, state, config)
-        assert np.array_equal(a_params["w"], b_params["w"])
-        assert np.array_equal(a_state.m["w"], b_state.m["w"])
+        grad = np.array([1.0, 2.0, 3.0])
+        (a_theta, a_state), (b_theta, b_state) = self._setup(), self._setup()
+        adam_step(a_theta, grad, a_state, self.LR)
+        adam_step(b_theta, grad, b_state, self.LR)
+        assert np.array_equal(a_theta, b_theta)
+        assert np.array_equal(a_state.m, b_state.m)
         assert a_state.step == b_state.step == 1
 
 
@@ -76,6 +83,34 @@ def toy_data(n, T, seed):
     X = rng.normal(size=(n, T, 4))
     Y = (X[:, :, 3] > 0).astype(np.int64)
     return X, Y
+
+
+def golden_training_run() -> dict:
+    """A seeded 2-epoch run of a 2x5 model with dropout on; epoch 2 is the best.
+
+    Returns each epoch's training loss and validation accuracy and the
+    SHA-256 of the final parameter bytes, in ``parameters()`` order.
+    """
+    X, Y = toy_data(24, 6, seed=10)
+    model = BiLstmModel.initialize(layer_count=2, width=5, dropout_rate=0.3, input_size=4, seed=10)
+    config = TrainConfig(learning_rate=0.05, batch_size=8, max_epochs=2, seed=10)
+    result = train(model, (X[:16], Y[:16]), (X[16:], Y[16:]), config)
+    digest = hashlib.sha256()
+    for value in model.parameters().values():
+        digest.update(np.ascontiguousarray(value, dtype="<f8").tobytes())
+    return {
+        "train_loss": [e.train_loss for e in result.history],
+        "val_accuracy": [e.val_accuracy for e in result.history],
+        "parameters_sha256": digest.hexdigest(),
+    }
+
+
+def test_golden_training_run_is_reproduced():
+    """``golden_train_2x5.json`` was written by ``golden_training_run`` when
+    the parameters were still stored per direction; the flat parameter
+    vector must reproduce it exactly."""
+    golden = json.loads((Path(__file__).parent / "data" / "golden_train_2x5.json").read_text())
+    assert golden_training_run() == golden
 
 
 class TestTrainLoop:
@@ -116,9 +151,7 @@ class TestTrainLoop:
         model = BiLstmModel.initialize(
             layer_count=1, width=4, dropout_rate=0.0, input_size=4, seed=3
         )
-        params = model.copy_parameters()
-        params["head.w"] = params["head.w"] * np.nan
-        model.set_parameters(params)
+        model.head_w[:] = np.nan
         with pytest.raises(DivergenceError, match="epoch 0"):
             train(model, (X, Y), (X, Y), TrainConfig(max_epochs=3, seed=3))
 
@@ -153,5 +186,5 @@ class TestValidationAccuracy:
         model = BiLstmModel.initialize(
             layer_count=1, width=4, dropout_rate=0.0, input_size=4, seed=5
         )
-        model.set_parameters({k: np.zeros_like(v) for k, v in model.parameters().items()})
+        model.theta[:] = 0.0
         assert accuracy_on_arrays(model, X, Y) == pytest.approx(Y.mean())
