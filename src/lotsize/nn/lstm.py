@@ -24,6 +24,18 @@ and ``backward_batch`` returns one gradient vector in the same layout.
 ``parameters()`` names the per-direction views ``layer{i}.{fwd,bwd}.{W,U,b}``
 …, ``head.w``, ``head.b``, in the order of the model file.
 
+Every per-batch array of the forward and backward passes lives in the
+model's arena: flat float64 buffers keyed by role, each grown to the largest
+request seen and handed out as a contiguous leading view, so repeated
+batches write into memory that is already mapped instead of allocating and
+faulting in tens of MB each time. A layer's gates, cell and hidden states,
+``tanh(c)``, output and dropout mask have one buffer per layer, as they must
+coexist until the backward pass; the input copy, the projection ``Z`` and
+the backward pass's work arrays have one buffer shared by all layers. A
+``_ForwardCache`` is therefore valid only until the next ``forward_batch``
+on the same model. The returned probabilities and gradient vector are fresh
+arrays that callers may keep.
+
 Everything is float64 so analytic gradients can be checked against central
 finite differences at tight tolerances.
 """
@@ -40,6 +52,35 @@ from ..errors import DimensionError, ValidationError
 from .standardize import Standardizer, instance_features
 
 LayerViews = tuple[np.ndarray, np.ndarray, np.ndarray]  # W, U, b of one layer
+
+
+class _Arena:
+    """Flat float64 buffers keyed by role, kept across calls.
+
+    ``take`` returns the leading ``prod(shape)`` elements of a role's buffer
+    as a C-contiguous view, first replacing the buffer when it is too small.
+    Views are kept per (role, shape), so a repeated request, such as every
+    B=1 prediction after the first, costs one dict lookup. A view holds
+    whatever its last user wrote.
+    """
+
+    __slots__ = ("buffers", "views")
+
+    def __init__(self):
+        self.buffers: dict[object, np.ndarray] = {}
+        self.views: dict[tuple, np.ndarray] = {}
+
+    def take(self, role, shape: tuple[int, ...]) -> np.ndarray:
+        view = self.views.get((role, shape))
+        if view is None:
+            n = math.prod(shape)
+            buf = self.buffers.get(role)
+            if buf is None or buf.size < n:
+                buf = self.buffers[role] = np.empty(n)
+                # Kept views of the role point into the buffer just replaced.
+                self.views = {key: v for key, v in self.views.items() if key[0] != role}
+            view = self.views[role, shape] = buf[:n].reshape(shape)
+        return view
 
 
 def _block_shapes(layer_count: int, width: int, input_size: int) -> list[tuple[int, ...]]:
@@ -63,6 +104,7 @@ class BiLstmModel:
     layers: list[LayerViews] = field(init=False, repr=False)
     head_w: np.ndarray = field(init=False, repr=False)  # (2H,) view
     head_b: np.ndarray = field(init=False, repr=False)  # 0-d view
+    _arena: _Arena = field(init=False, repr=False, compare=False, default_factory=_Arena)
 
     def __post_init__(self):
         self.layers, self.head_w, self.head_b = self._views(self.theta)
@@ -184,8 +226,10 @@ class _ForwardCache:
         return [(layer.direction(0), layer.direction(1)) for layer in self.layers]
 
 
-def _layer_forward(W: np.ndarray, U: np.ndarray, b: np.ndarray, X: np.ndarray) -> _LayerCache:
-    """Both chains of one layer over a time-major (T, B, in_dim) input.
+def _layer_forward(
+    W: np.ndarray, U: np.ndarray, b: np.ndarray, X: np.ndarray, arena: _Arena, layer: int
+) -> _LayerCache:
+    """Both chains of layer ``layer`` over a time-major (T, B, in_dim) input.
 
     One GEMM projects the input for both directions before the loop; each
     step then advances both chains with one batched ``h @ U.T`` on the
@@ -195,16 +239,17 @@ def _layer_forward(W: np.ndarray, U: np.ndarray, b: np.ndarray, X: np.ndarray) -
     """
     T, B, in_dim = X.shape
     H = U.shape[2]
-    Z = (X.reshape(T * B, in_dim) @ W.reshape(8 * H, in_dim).T).reshape(T, B, 2, 4 * H)
-    gates = np.empty((2, T, B, 4 * H))
+    Z = arena.take("Z", (T, B, 2, 4 * H))
+    np.matmul(X.reshape(T * B, in_dim), W.reshape(8 * H, in_dim).T, out=Z.reshape(T * B, 8 * H))
+    gates = arena.take(("gates", layer), (2, T, B, 4 * H))
     np.add(Z[:, :, 0], b[0], out=gates[0])
     np.add(Z[::-1, :, 1], b[1], out=gates[1])
     UT = U.transpose(0, 2, 1)
-    c = np.empty((T + 1, 2, B, H))
-    h = np.empty((T + 1, 2, B, H))
+    c = arena.take(("c", layer), (T + 1, 2, B, H))
+    h = arena.take(("h", layer), (T + 1, 2, B, H))
     c[0] = 0.0
     h[0] = 0.0
-    tanh_c = np.empty((T, 2, B, H))
+    tanh_c = arena.take(("tanh_c", layer), (T, 2, B, H))
     cache = _LayerCache(X=X, gates=gates, c=c, tanh_c=tanh_c, h=h)
     steps = cache.step_gates()
     rec = np.empty((2, B, 4 * H))
@@ -229,23 +274,29 @@ def _layer_forward(W: np.ndarray, U: np.ndarray, b: np.ndarray, X: np.ndarray) -
 
 
 def _layer_backward(
-    W: np.ndarray, U: np.ndarray, cache: _LayerCache, dH: np.ndarray, grad: LayerViews
+    W: np.ndarray,
+    U: np.ndarray,
+    cache: _LayerCache,
+    dH: np.ndarray,
+    grad: LayerViews,
+    arena: _Arena,
 ) -> np.ndarray:
     """Exact gradient through both chains of one layer.
 
     ``dH`` is dL/d(layer output), time-major (T, B, 2H). Writes the
     parameter gradients into the (dW, dU, db) views ``grad`` and returns
-    dL/dX, time-major. dZ, the gradient with respect to the gate
-    pre-activations, is stored direction-major, (2, T, B, 4H) in step order,
-    so each direction's gradients come from contiguous 2-D GEMMs without
-    copying dZ.
+    dL/dX, time-major, as a view of the arena that the next call overwrites;
+    ``dH`` may be that view, as it is read only before dL/dX is written.
+    dZ, the gradient with respect to the gate pre-activations, is stored
+    direction-major, (2, T, B, 4H) in step order, so each direction's
+    gradients come from contiguous 2-D GEMMs without copying dZ.
     """
     T, B, in_dim = cache.X.shape
     H = U.shape[2]
-    dHs = np.empty((T, 2, B, H))
+    dHs = arena.take("dHs", (T, 2, B, H))
     dHs[:, 0] = dH[:, :, :H]
     dHs[:, 1] = dH[::-1, :, H:]
-    dZ = np.empty((2, T, B, 4 * H))
+    dZ = arena.take("dZ", (2, T, B, 4 * H))
     dZ_steps = dZ.reshape(2, T, B, 4, H).transpose(1, 3, 0, 2, 4)
     dh_carry = np.zeros((2, B, H))
     dc_carry = np.zeros((2, B, H))
@@ -265,14 +316,14 @@ def _layer_backward(
         dh_carry = np.matmul(dZ[:, s], U)
     X_steps = (cache.X, cache.X[::-1])
     dW, dU, db = grad
-    dX = []
+    dX = [arena.take(("dX", k), (T, B, in_dim)) for k in range(2)]
     for k in range(2):
         dZ_rows = dZ[k].reshape(T * B, 4 * H)
         np.matmul(dZ_rows.T, X_steps[k].reshape(T * B, in_dim), out=dW[k])
         np.matmul(dZ_rows.T, cache.h[:-1, k].reshape(T * B, H), out=dU[k])
         np.sum(dZ_rows, axis=0, out=db[k])
-        dX.append((dZ_rows @ W[k]).reshape(T, B, in_dim))
-    return dX[0] + dX[1][::-1]
+        np.matmul(dZ_rows, W[k], out=dX[k].reshape(T * B, in_dim))
+    return np.add(dX[0], dX[1][::-1], out=dX[0])
 
 
 def forward_batch(
@@ -281,7 +332,9 @@ def forward_batch(
     """Probabilities for a (B, T, input_size) batch, caching for backprop.
 
     Dropout fires if and only if an ``rng`` is passed and the rate is
-    positive; masks are sampled per example, period and unit.
+    positive; masks are sampled per example, period and unit. The cache's
+    arrays are views of the model's arena, valid until the next call on the
+    same model; ``probs`` is a fresh array.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3 or X.shape[2] != model.input_size:
@@ -292,16 +345,21 @@ def forward_batch(
     H = model.width
     use_dropout = rng is not None and model.dropout_rate > 0.0
     keep = 1.0 - model.dropout_rate
+    arena = model._arena
     layers = []
     dropout_masks: list[np.ndarray | None] = []
-    current = np.ascontiguousarray(X.transpose(1, 0, 2))
-    for W, U, b in model.layers:
-        cache = _layer_forward(W, U, b, current)
-        out = np.empty((T, B, 2 * H))
+    current = arena.take("input", (T, B, model.input_size))
+    np.copyto(current, X.transpose(1, 0, 2))
+    for i, (W, U, b) in enumerate(model.layers):
+        cache = _layer_forward(W, U, b, current, arena, i)
+        out = arena.take(("out", i), (T, B, 2 * H))
         out[:, :, :H] = cache.h[1:, 0]
         out[:, :, H:] = cache.h[:0:-1, 1]
         if use_dropout:
-            mask = (rng.random((B, T, 2 * H)) < keep).astype(np.float64) / keep
+            mask = arena.take(("mask", i), (B, T, 2 * H))
+            rng.random(out=mask)
+            np.less(mask, keep, out=mask)
+            np.divide(mask, keep, out=mask)
             out *= mask.transpose(1, 0, 2)
         else:
             mask = None
@@ -320,18 +378,22 @@ def forward_batch(
 
 def backward_batch(model: BiLstmModel, cache: _ForwardCache, dlogits: np.ndarray) -> np.ndarray:
     """Gradient of a scalar loss given dL/dlogits of shape (B, T), as one
-    vector in the layout of ``model.theta``."""
+    fresh vector in the layout of ``model.theta``. ``cache`` must come from
+    the latest ``forward_batch`` on ``model``."""
     grad = np.empty_like(model.theta)
     layer_grads, head_w, head_b = model._views(grad)
     head_w[:] = np.einsum("bt,bth->h", dlogits, cache.head_input)
     head_b[...] = dlogits.sum()
-    dcurrent = dlogits.T[:, :, None] * model.head_w
+    arena = model._arena
+    B, T = dlogits.shape
+    dcurrent = arena.take("dcurrent", (T, B, 2 * model.width))
+    np.multiply(dlogits.T[:, :, None], model.head_w, out=dcurrent)
     for i in range(model.layer_count - 1, -1, -1):
         mask = cache.dropout_masks[i]
         if mask is not None:
             dcurrent *= mask.transpose(1, 0, 2)
         W, U, _ = model.layers[i]
-        dcurrent = _layer_backward(W, U, cache.layers[i], dcurrent, layer_grads[i])
+        dcurrent = _layer_backward(W, U, cache.layers[i], dcurrent, layer_grads[i], arena)
     return grad
 
 

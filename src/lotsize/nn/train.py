@@ -44,6 +44,8 @@ class TrainConfig:
             raise ValidationError("max epochs must be at least 1")
         if self.batch_size < 1:
             raise ValidationError("batch size must be at least 1")
+        if self.early_stop_patience < 1:
+            raise ValidationError("early-stop patience must be at least 1")
 
 
 def bce_loss(y_star: np.ndarray, y_hat: np.ndarray) -> float:
@@ -204,7 +206,7 @@ def train(
         if val_acc > best_acc:
             best_acc = val_acc
             best_epoch = epoch
-            best_theta = model.theta.copy()
+            best_theta[:] = model.theta
         elif epoch - best_epoch >= config.early_stop_patience:
             break
     model.theta[:] = best_theta

@@ -1,13 +1,16 @@
 import csv
 import json
 import os
+import platform
 import shutil
 import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 import lotsize
 from lotsize.cli import EXIT_USAGE, main
@@ -47,6 +50,11 @@ class TestGen:
         manifest = json.loads((dataset_dir / "manifest.json").read_text())
         assert manifest["tool_version"]
         assert manifest["command"][0] == "gen"
+        assert manifest["nproc"] >= 1
+        assert manifest["versions"] == {
+            "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__
+        }
+        assert manifest["wall_s"] > 0 and manifest["cpu_s"] > 0
         assert set(manifest["artifacts"]) == {
             "meta.json", "train.jsonl", "val.jsonl", "test.jsonl"
         }
@@ -282,8 +290,9 @@ class TestTrainPredictEvaluateReport:
         assert "Traceback" not in proc.stderr
 
     # One epoch: a NaN step would only surface as divergence at the second.
-    @pytest.mark.parametrize("flags", [("--epochs", 0), ("--lr", "nan", "--epochs", 1)],
-                             ids=["epochs0", "lr-nan"])
+    @pytest.mark.parametrize("flags", [("--epochs", 0), ("--lr", "nan", "--epochs", 1),
+                                       ("--patience", 0, "--epochs", 1)],
+                             ids=["epochs0", "lr-nan", "patience0"])
     def test_bad_train_config_is_usage_error(self, flags, dataset_dir, tmp_path):
         assert run("train", "--dataset", dataset_dir, *flags, "--out", tmp_path / "m") == 2
 

@@ -305,6 +305,67 @@ class TestStackedRecurrenceParity:
             assert np.allclose(row, bilstm_forward(model, feats), rtol=0.0, atol=1e-12)
 
 
+class TestArena:
+    """Per-batch arrays live in buffers the model reuses across calls."""
+
+    @staticmethod
+    def model_and_data():
+        data = np.random.default_rng(9)
+        model = small_model(layers=2, width=6, seed=9, dropout=0.3)
+        X = data.normal(size=(64, 13, 4))
+        Y = data.integers(0, 2, size=(64, 13)).astype(float)
+        return model, X, Y
+
+    def test_reused_buffers_give_the_numbers_of_a_fresh_model(self):
+        model, X, Y = self.model_and_data()
+        # Grow past a short batch, shrink to it, refill, then change the horizon.
+        for B, T in [(5, 9), (64, 9), (5, 9), (64, 9), (7, 13)]:
+            fresh = BiLstmModel(
+                theta=model.theta.copy(),
+                layer_count=model.layer_count,
+                width=model.width,
+                input_size=model.input_size,
+                dropout_rate=model.dropout_rate,
+            )
+            Xb, Yb = X[:B, :T], Y[:B, :T]
+
+            def outputs(m):
+                probs = forward_batch(m, Xb, np.random.default_rng(B)).probs
+                return (probs, *batch_loss_and_grads(m, Xb, Yb, np.random.default_rng(B)))
+
+            (probs, loss, grad), (f_probs, f_loss, f_grad) = outputs(model), outputs(fresh)
+            assert np.array_equal(probs, f_probs)
+            assert loss == f_loss
+            assert np.array_equal(grad, f_grad)
+
+    def test_returned_arrays_outlive_later_calls(self):
+        model, X, Y = self.model_and_data()
+        probs = forward_batch(model, X[:8]).probs
+        _, grad = batch_loss_and_grads(model, X[:8], Y[:8], np.random.default_rng(1))
+        kept = probs.copy(), grad.copy()
+        forward_batch(model, X[8:16])
+        batch_loss_and_grads(model, X[8:40], Y[8:40], np.random.default_rng(2))
+        assert np.array_equal(probs, kept[0])
+        assert np.array_equal(grad, kept[1])
+
+    def test_same_shape_calls_reuse_every_buffer(self):
+        model, X, Y = self.model_and_data()
+        arena = model._arena
+
+        def addresses():
+            return {role: buf.ctypes.data for role, buf in arena.buffers.items()}
+
+        batch_loss_and_grads(model, X[:5], Y[:5], np.random.default_rng(1))
+        batch_loss_and_grads(model, X[:32], Y[:32], np.random.default_rng(2))
+        first = addresses()
+        batch_loss_and_grads(model, X[32:], Y[32:], np.random.default_rng(3))
+        assert ("mask", 1) in first and ("dX", 1) in first
+        assert addresses() == first
+        # Growing a buffer drops the views kept into the one it replaced.
+        for (role, _), view in arena.views.items():
+            assert np.shares_memory(view, arena.buffers[role])
+
+
 def test_golden_model_file_reproduces_its_probabilities():
     """A model file written before the stacked recurrence still loads and predicts.
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lotsize.errors import DivergenceError
+from lotsize.errors import DivergenceError, ValidationError
 from lotsize.nn import (
     AdamState,
     BiLstmModel,
@@ -111,6 +111,14 @@ def test_golden_training_run_is_reproduced():
     vector must reproduce it exactly."""
     golden = json.loads((Path(__file__).parent / "data" / "golden_train_2x5.json").read_text())
     assert golden_training_run() == golden
+
+
+# A patience below 1 would act as 1: the stop test runs only after a
+# non-improving epoch.
+@pytest.mark.parametrize("patience", [0, -3])
+def test_patience_below_one_is_rejected(patience):
+    with pytest.raises(ValidationError, match="patience"):
+        TrainConfig(early_stop_patience=patience)
 
 
 class TestTrainLoop:
