@@ -205,11 +205,12 @@ def cmd_solve(args, manifest: RunManifest) -> int:
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "solutions.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("instance_id,status,objective,wall_time_s,nodes,lp_solves,cuts\n")
+        fh.write("instance_id,status,objective,wall_time_s,nodes,lp_solves,cuts,cut_stop\n")
         for iid, sol in zip(split_ids(args.split, len(split)), solutions):
+            st = sol.stats
             fh.write(
-                f"{iid},{sol.status},{sol.objective!r},{sol.stats.wall_time_seconds!r},"
-                f"{sol.stats.nodes_explored},{sol.stats.lp_solves},{sol.stats.cuts_added}\n"
+                f"{iid},{sol.status},{sol.objective!r},{st.wall_time_seconds!r},"
+                f"{st.nodes_explored},{st.lp_solves},{st.cuts_added},{st.cut_stop}\n"
             )
     manifest.finish(out, [csv_path])
     print(f"wrote {csv_path}")
@@ -284,19 +285,23 @@ def cmd_predict(args, manifest: RunManifest) -> int:
 
 
 def cmd_evaluate(args, manifest: RunManifest) -> int:
-    _, split = _read_split(args)
-    preds, untimed = read_probabilities(args.probs)
-    # Rows without predict_s add nothing to time_ml_s; the manifest says how many.
-    manifest.inputs["probability_rows_without_predict_s"] = untimed
     levels = _levels(args.levels)
     for lv in levels:
         if not 0 <= lv <= 100:
             raise UsageError(f"level {lv} outside [0, 100]")
     modes = _modes(args.mode)
-    ids = split_ids(args.split, len(split))
+    if not modes:
+        raise UsageError("--mode names no mode")
+    if MODE_HARD in modes and not levels:
+        raise UsageError("--mode hard needs at least one --levels value")
     bnb_opts = BnbOptions(
         time_limit=args.time_limit, gap_tol=args.gap_tol, ls_rounds=args.ls_rounds
     )
+    _, split = _read_split(args)
+    preds, untimed = read_probabilities(args.probs)
+    # Rows without predict_s add nothing to time_ml_s; the manifest says how many.
+    manifest.inputs["probability_rows_without_predict_s"] = untimed
+    ids = split_ids(args.split, len(split))
     records = []
     for iid, (inst, _) in zip(ids, split):
         if iid not in preds:

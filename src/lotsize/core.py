@@ -144,8 +144,18 @@ class SolveStats:
     """Work counters of one solve.
 
     ``lp_solves`` counts relaxations actually solved, in closed form or by
-    the LP solver: one per root cut round and one per node, the last round's
-    LP being the root node. A flow-infeasible or fully fixed plan solves none.
+    the LP solver: one per node, plus one per further root cut round. The
+    closed-form cut-free root that the root-gap screen reads counts once; it
+    is also the cut loop's first point, so a loop that finds no cut solves
+    nothing more and a loop that adds cuts solves one LP per round after
+    its first. The last point is the root node. A flow-infeasible or fully
+    fixed plan solves none.
+
+    ``cut_stop`` says why the root cut loop stopped: ``"off"`` when no loop
+    was asked for (``ls_rounds=0``, or a backend without one) or no
+    relaxation was solved; ``"root-gap"`` when the screen skipped it;
+    ``"no-cut"`` when a round separated no fresh cut; ``"rounds"`` when
+    every round ran.
     """
 
     wall_time_seconds: float = 0.0
@@ -153,6 +163,7 @@ class SolveStats:
     lp_solves: int = 0
     mip_gap: float | None = None
     cuts_added: int = 0
+    cut_stop: str = "off"
 
 
 @dataclass(frozen=True)

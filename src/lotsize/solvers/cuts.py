@@ -10,10 +10,12 @@ with ``d_{t,ell}`` the demand from ``t`` through ``ell``. The most violated
 subset for a given point keeps exactly the periods where ``x_t`` exceeds
 ``d_{t,ell} * y_t``, so separation is a linear scan per prefix.
 
-Branch and bound runs ``root_cut_loop`` when ``BnbOptions.ls_rounds > 0``.
-The loop solves every round on one persistent ``LpWorkspace`` and appends
-each round's cuts to it as rows; branch and bound then solves its nodes on
-that same model.
+Branch and bound runs ``root_cut_loop`` when ``BnbOptions.ls_rounds > 0``
+and its root-gap screen (``bnb.ROOT_GAP``) does not skip the loop: the
+closed-form cut-free root, already solved for the screen, is the loop's
+first point. The loop solves every later round on one persistent
+``LpWorkspace`` and appends each round's cuts to it as rows; branch and
+bound then solves its nodes on that same model.
 """
 
 from __future__ import annotations
@@ -81,14 +83,17 @@ def root_cut_loop(
     tol: float = SEPARATION_TOL,
     plan: FixPlan | None = None,
     workspace: LpWorkspace | None = None,
+    start: LpSolution | None = None,
 ) -> tuple[list[LsCut], list[float], LpSolution]:
     """Iterate separation at the root; returns the pool, the bounds and the root.
 
     Every round is solved on one ``workspace`` (a fresh one if none is
     given), and each round's fresh cuts are appended to it, so the caller
-    can go on solving nodes on the same model. ``root`` is the last LP
-    solved, always over the final pool; ``bounds[-1]`` is its objective when
-    it is optimal. At most ``rounds + 1`` LPs are solved.
+    can go on solving nodes on the same model. ``start``, an optimal point
+    of the cut-free relaxation under ``plan``, stands in for the first
+    round's LP, which is then not solved. ``root`` is the last point, always
+    over the final pool; ``bounds[-1]`` is its objective when it is optimal.
+    At most ``rounds + 1`` points are used, ``start`` included.
     """
     if rounds < 1:
         raise ValidationError("at least one separation round is required")
@@ -99,7 +104,7 @@ def root_cut_loop(
     seen: set[tuple[int, tuple[int, ...]]] = set()
     bounds: list[float] = []
     for k in range(rounds + 1):
-        root = workspace.solve(fixed)
+        root = start if k == 0 and start is not None else workspace.solve(fixed)
         if root.status != LP_OPTIMAL:
             break
         bounds.append(root.objective)

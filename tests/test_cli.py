@@ -127,6 +127,26 @@ class TestSolve:
     def test_cut_rounds_are_read_by_lscuts(self, dataset_dir, tmp_path):
         assert run("solve", "--dataset", dataset_dir, "--solver", "lscuts",
                    "--ls-rounds", 3, "--out", tmp_path / "o") == 0
+        rows = list(csv.DictReader(open(tmp_path / "o" / "solutions.csv")))
+        assert list(rows[0]) == ["instance_id", "status", "objective", "wall_time_s",
+                                 "nodes", "lp_solves", "cuts", "cut_stop"]
+        assert {r["cut_stop"] for r in rows} <= {"root-gap", "no-cut", "rounds"}
+        for r in rows:
+            assert (r["cut_stop"] == "root-gap") <= (r["cuts"] == "0")
+        assert run("solve", "--dataset", dataset_dir, "--solver", "bnb",
+                   "--out", tmp_path / "b") == 0
+        rows = list(csv.DictReader(open(tmp_path / "b" / "solutions.csv")))
+        assert {r["cut_stop"] for r in rows} == {"off"}
+
+    # A negative limit made every solve a TimeLimit; a NaN gap_tol turned pruning off.
+    @pytest.mark.parametrize("flags", [
+        ("--solver", "bnb", "--time-limit", -1),
+        ("--solver", "lscuts", "--gap-tol", "nan"),
+    ], ids=["bnb-time-limit-neg", "lscuts-gap-tol-nan"])
+    def test_bad_limit_is_usage_error(self, flags, dataset_dir, tmp_path, capsys):
+        assert run("solve", "--dataset", dataset_dir, *flags, "--out", tmp_path / "o") == 2
+        assert flags[2].lstrip("-").replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 # Only values that start no worker process: a pool of that size would be real.
@@ -169,6 +189,42 @@ def model_dir(dataset_dir, tmp_path_factory) -> Path:
     )
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def lr_probs(dataset_dir, tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("cli") / "lr"
+    assert run("predict", "--dataset", dataset_dir, "--baseline", "logistic", "--out", out) == 0
+    return out / "probs.jsonl"
+
+
+# Each of these wrote a records.csv and exited 0: header only for an empty
+# mode or level list, TimeLimit rows for a negative limit, unpruned search for
+# a NaN gap tolerance.
+@pytest.mark.parametrize("flags", [
+    ("--mode", ","),
+    ("--mode", "hard", "--levels", ""),
+    ("--mode", "soft,hard", "--levels", ","),
+    ("--time-limit", -1),
+    ("--time-limit", "nan"),
+    ("--gap-tol", "nan"),
+    ("--gap-tol", -0.5),
+], ids=["mode-empty", "levels-empty", "levels-comma", "time-limit-neg", "time-limit-nan",
+        "gap-tol-nan", "gap-tol-neg"])
+def test_bad_evaluate_input_is_usage_error(flags, dataset_dir, lr_probs, tmp_path, capsys):
+    out = tmp_path / "eval"
+    assert run("evaluate", "--dataset", dataset_dir, "--probs", lr_probs, *flags,
+               "--out", out) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_empty_levels_are_fine_without_hard_mode(dataset_dir, lr_probs, tmp_path):
+    out = tmp_path / "eval"
+    assert run("evaluate", "--dataset", dataset_dir, "--probs", lr_probs, "--mode", "soft",
+               "--levels", "", "--out", out) == 0
+    records = list(csv.DictReader(open(out / "records.csv")))
+    assert len(records) == 5 and {r["mode"] for r in records} == {"soft"}
 
 
 class TestTrainPredictEvaluateReport:

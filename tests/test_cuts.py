@@ -177,6 +177,33 @@ class TestBranchAndCutDifferential:
         assert again.stats.lp_solves == cut.stats.lp_solves
 
 
+class TestRootGapScreen:
+    """Skipping or running the cut loop never changes the answer."""
+
+    def test_matches_cut_free_bnb_on_random_plans(self):
+        rng = np.random.default_rng(31)
+        stops = []
+        for T in (8, 20):
+            params = GenParams(c_ratio=3, f_ratio=100, T=T, demand_range=(1, 60), seed=31)
+            for i in range(25):
+                inst = generate_instance(params, i)
+                size = int(rng.integers(0, T))
+                fixed = rng.choice(np.arange(1, T + 1), size=size, replace=False)
+                plan = FixPlan({int(t): int(rng.integers(0, 2)) for t in fixed})
+                cut = solve_with_ls_cuts(inst, 3, plan=plan)
+                free = branch_and_bound(inst, plan)
+                assert cut.status == free.status
+                if cut.status != "Optimal":
+                    continue
+                assert cut.objective == pytest.approx(free.objective, rel=1e-9)
+                assert check_solution(inst, cut) == []
+                assert free.stats.cut_stop == "off"
+                stops.append(cut.stats.cut_stop)
+        # Both branches of the rule ran, so the comparison covers each.
+        assert "root-gap" in stops
+        assert {"no-cut", "rounds"} & set(stops)
+
+
 class TestRelaxationsSolvedOnce:
     """Branch and cut solves each relaxation once and counts what it solves."""
 
@@ -212,27 +239,48 @@ class TestRelaxationsSolvedOnce:
                     assert sol.stats.lp_solves == len(solves)
 
     def test_root_is_the_loops_last_lp_when_no_cut_is_found(self, solves):
-        """Each node costs one LP beyond the cut loop, whose last LP is the root."""
+        """Each node costs one relaxation beyond the root's; ``cut_stop`` says how many
+        the root took.
+
+        The closed-form cut-free root is always solved first. When the screen
+        skips the loop, or the loop finds no cut at that point, it is the root
+        and HiGHS solves nothing; otherwise each further round is one LP.
+        """
         params = GenParams(c_ratio=3, f_ratio=100, T=20, demand_range=(1, 60), seed=4)
         cases = [(generate_instance(params, 110), FixPlan({t: 1 for t in range(1, 16)}))]
         rng = np.random.default_rng(27)
         for inst in generated_instances(8, seed=27, T=8):
             fixed = rng.choice(np.arange(1, inst.T + 1), size=3, replace=False)
             cases.append((inst, FixPlan({int(t): 1 for t in fixed})))
+        seen = set()
         for inst, plan in cases:
             for rounds in (1, 3):
                 solves.clear()
-                sol = solve_with_ls_cuts(inst, rounds, plan=plan)
+                st = solve_with_ls_cuts(inst, rounds, plan=plan).stats
                 root_key = tuple(sorted(dict(plan.entries).items()))
+                screen = [name for name, rows, key in solves if key == root_key and rows == ()]
                 loop_lps = sum(
                     1 for name, _, key in solves if name == "LpWorkspace" and key == root_key
                 )
-                assert sol.stats.lp_solves == loop_lps + sol.stats.nodes_explored - 1
-                assert sol.stats.lp_solves == len(solves)
-        # The repro case: the loop finds no cut, so its one LP is the root.
+                # The cut-free root is solved once, in closed form, never again in HiGHS.
+                assert screen == ["PathRelaxation"]
+                assert st.lp_solves == 1 + loop_lps + st.nodes_explored - 1
+                assert st.lp_solves == len(solves)
+                seen.add(st.cut_stop)
+                if st.cuts_added == 0:
+                    assert st.cut_stop in ("root-gap", "no-cut")
+                    assert loop_lps == 0
+                    assert {name for name, _, _ in solves} == {"PathRelaxation"}
+                    assert st.lp_solves == st.nodes_explored
+                else:
+                    assert st.cut_stop in ("no-cut", "rounds")
+                    assert 1 <= loop_lps <= rounds
+                    assert (loop_lps == rounds) == (st.cut_stop == "rounds")
+        assert {"root-gap", "no-cut", "rounds"} <= seen
+        # The repro case: its cut-free root is within the screen's gap.
         first = solve_with_ls_cuts(cases[0][0], 3, plan=cases[0][1]).stats
-        assert first.cuts_added == 0 and first.nodes_explored > 1
-        assert first.lp_solves == first.nodes_explored
+        assert first.cut_stop == "root-gap" and first.cuts_added == 0
+        assert first.nodes_explored > 1 and first.lp_solves == first.nodes_explored
 
     def test_negative_rounds_rejected(self):
         with pytest.raises(ValidationError):

@@ -219,6 +219,19 @@ class TestBranchAndBound:
         sol = branch_and_bound(e1, FixPlan({1: 1, 2: 1, 3: 0}))
         assert sol.objective == pytest.approx(17.0)
 
+    # A NaN gap_tol turned pruning off; a negative time limit stopped at once.
+    @pytest.mark.parametrize("field,value", [
+        ("time_limit", float("nan")), ("time_limit", -1.0),
+        ("gap_tol", float("nan")), ("gap_tol", -1e-9),
+    ])
+    def test_bad_limits_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            BnbOptions(**{field: value})
+
+    def test_zero_and_infinite_limits_accepted(self):
+        BnbOptions(time_limit=0.0, gap_tol=0.0)
+        BnbOptions(time_limit=float("inf"))
+
 
 class TestOracleAgreement:
     @settings(max_examples=40, deadline=None)
