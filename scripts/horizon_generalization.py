@@ -11,8 +11,9 @@ from pathlib import Path
 
 from lotsize import GenParams, generate_instance
 from lotsize.nn import load_model
-from lotsize.pipeline import EvalOptions, PredictionVector, compute_metrics, concat_predictions, solve_with_hard_fix
-from lotsize.solvers import BnbOptions, branch_and_bound
+from lotsize.pipeline import MODE_HARD, concat_predictions, evaluate_instance
+from lotsize.report import summarize
+from lotsize.solvers import BnbOptions
 
 
 def parse_args():
@@ -38,22 +39,18 @@ def main():
         demand_range=(1, args.demand_max), seed=args.seed,
     )
     levels = [float(v) for v in args.levels.split(",")]
-    records = {lv: [] for lv in levels}
+    opts = BnbOptions(ls_rounds=args.ls_rounds)
+    records = []
     for i in range(args.n):
         inst = generate_instance(params, i)
-        # The plain solve is timed on the same solver stack as the ML solves.
-        plain = branch_and_bound(inst, opts=BnbOptions(ls_rounds=args.ls_rounds))
         pred = concat_predictions(model, inst, args.chunk_T)
-        opts = EvalOptions(ls_rounds=args.ls_rounds, baseline=plain, instance_id=str(i))
-        for lv in levels:
-            records[lv].append(solve_with_hard_fix(inst, pred, lv, opts))
+        records += evaluate_instance(inst, pred, [MODE_HARD], levels, opts, str(i))
     print(f"T={args.T} predicted with chunk_T={args.chunk_T} on {args.n} instances")
     print("level  inf%    optgap%   timeimp")
-    for lv in levels:
-        rep = compute_metrics(records[lv])
+    for rep in summarize(records):
         gap = "-" if rep.mean_optgap_pct is None else f"{rep.mean_optgap_pct:.3f}"
         imp = "-" if rep.timeimp is None else f"{rep.timeimp:.1f}"
-        print(f"{lv:5g}  {rep.inf_pct:5.1f}   {gap:>8}  {imp:>7}")
+        print(f"{rep.level_pct:5g}  {rep.inf_pct:5.1f}   {gap:>8}  {imp:>7}")
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ error. Exit codes: 0 success, 2 usage, 3 missing input, 4 format mismatch,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 import time
@@ -38,19 +39,9 @@ from .nn.lstm import BiLstmModel, predict_instance
 from .nn.model_io import load_model, save_model
 from .nn.standardize import instance_features, standardize_fit
 from .nn.train import TrainConfig, pairs_to_arrays, train
-from .pipeline import (
-    DEFAULT_LEVELS,
-    MODE_HARD,
-    MODE_SOFT,
-    MODES,
-    EvalOptions,
-    PredictionVector,
-    solve_with_hard_fix,
-    solve_with_soft_fix,
-    solve_with_warm_start,
-)
+from .pipeline import DEFAULT_LEVELS, MODE_HARD, MODES, PredictionVector, evaluate_instance
 from .report import figure_csvs, render_markdown
-from .solvers import DEFAULT_ROUNDS, SOLVERS, BnbOptions, branch_and_bound, solve
+from .solvers import DEFAULT_ROUNDS, SOLVERS, BnbOptions, solve
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -107,21 +98,16 @@ def _levels(text: str) -> list[float]:
         raise UsageError(f"--levels: {exc}") from exc
 
 
-def _modes(text: str) -> list[str]:
-    modes = [m.strip() for m in text.split(",") if m.strip()]
-    for m in modes:
-        if m not in MODES:
-            raise UsageError(f"unknown mode {m!r}")
-    return modes
-
-
-def _pool_map(jobs: int):
+@contextlib.contextmanager
+def _mapper(jobs: int):
+    """The builtin ``map`` for one job, else a process pool's, shut down on exit."""
     if jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
     if jobs == 1:
-        return None
-    executor = ProcessPoolExecutor(max_workers=jobs)
-    return executor
+        yield map
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield pool.map
 
 
 def _config_snapshot(args) -> dict:
@@ -161,16 +147,11 @@ def cmd_gen(args, manifest: RunManifest) -> int:
     if args.n < 10:
         raise UsageError("--n must be at least 10")
     _check_solver(args.oracle, "--oracle")
-    pool = _pool_map(args.jobs)
-    try:
-        map_fn = pool.map if pool else None
+    with _mapper(args.jobs) as map_fn:
         dataset = generate_dataset(
             params, args.n, functools.partial(solve, args.oracle),
             oracle_name=args.oracle, map_fn=map_fn,
         )
-    finally:
-        if pool:
-            pool.shutdown()
     out = Path(args.out)
     write_dataset(dataset, out)
     files = [out / "meta.json", out / "train.jsonl", out / "val.jsonl", out / "test.jsonl"]
@@ -194,13 +175,8 @@ def cmd_solve(args, manifest: RunManifest) -> int:
         opts=BnbOptions(time_limit=args.time_limit, gap_tol=gap_tol),
         ls_rounds=DEFAULT_ROUNDS if args.ls_rounds is None else args.ls_rounds,
     )
-    pool = _pool_map(args.jobs)
-    try:
-        mapper = pool.map if pool else map
-        solutions = list(mapper(solver, [inst for inst, _ in split]))
-    finally:
-        if pool:
-            pool.shutdown()
+    with _mapper(args.jobs) as map_fn:
+        solutions = list(map_fn(solver, [inst for inst, _ in split]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "solutions.csv"
@@ -260,11 +236,15 @@ def cmd_train(args, manifest: RunManifest) -> int:
 def cmd_predict(args, manifest: RunManifest) -> int:
     if (args.model is None) == (args.baseline is None):
         raise UsageError("predict takes exactly one of --model FILE and --baseline logistic")
+    if args.model is not None and args.seed is not None:
+        raise UsageError("predict --model does not read --seed")
     dataset, split = _read_split(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.baseline == "logistic":
-        model = logistic_fit(dataset.train, LogisticConfig(seed=args.seed))
+        seed = 0 if args.seed is None else args.seed
+        manifest.seeds["seed"] = seed
+        model = logistic_fit(dataset.train, LogisticConfig(seed=seed))
         predict_one = functools.partial(logistic_predict, model)
         source = "logistic"
     else:
@@ -286,14 +266,7 @@ def cmd_predict(args, manifest: RunManifest) -> int:
 
 def cmd_evaluate(args, manifest: RunManifest) -> int:
     levels = _levels(args.levels)
-    for lv in levels:
-        if not 0 <= lv <= 100:
-            raise UsageError(f"level {lv} outside [0, 100]")
-    modes = _modes(args.mode)
-    if not modes:
-        raise UsageError("--mode names no mode")
-    if MODE_HARD in modes and not levels:
-        raise UsageError("--mode hard needs at least one --levels value")
+    modes = [m.strip() for m in args.mode.split(",") if m.strip()]
     bnb_opts = BnbOptions(
         time_limit=args.time_limit, gap_tol=args.gap_tol, ls_rounds=args.ls_rounds
     )
@@ -306,23 +279,8 @@ def cmd_evaluate(args, manifest: RunManifest) -> int:
     for iid, (inst, _) in zip(ids, split):
         if iid not in preds:
             raise UsageError(f"probability file lacks an entry for {iid}")
-        pred = preds[iid]
         # Plain and ML solves share one solver stack; the oracle's time is not used.
-        opts = EvalOptions(
-            time_limit=args.time_limit,
-            gap_tol=args.gap_tol,
-            ls_rounds=args.ls_rounds,
-            baseline=branch_and_bound(inst, opts=bnb_opts),
-            instance_id=iid,
-        )
-        for mode in modes:
-            if mode == MODE_HARD:
-                for lv in levels:
-                    records.append(solve_with_hard_fix(inst, pred, lv, opts))
-            elif mode == MODE_SOFT:
-                records.append(solve_with_soft_fix(inst, pred, opts))
-            else:
-                records.append(solve_with_warm_start(inst, pred, opts))
+        records += evaluate_instance(inst, preds[iid], modes, levels, bnb_opts, iid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "records.csv"
@@ -398,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None, help="weight file from 'train'")
     p.add_argument("--baseline", choices=("logistic",), help="fit this baseline on the fly")
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="logistic (default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 

@@ -14,6 +14,11 @@ modes are supported:
 * warm start: repair the thresholded prediction into a feasible pattern,
   hand its cost to branch and bound as the initial incumbent, and solve the
   unrestricted problem exactly.
+
+``evaluate_instance`` is the evaluation entry point: it solves the plain
+problem once and every requested (mode, level) on that same solver stack.
+The per-mode ``solve_with_*`` functions take the caller's plain solve as
+``EvalOptions.baseline`` and remain for the benchmark's ``fixing`` grid.
 """
 
 from __future__ import annotations
@@ -32,8 +37,7 @@ from .core import (
     _round_half_up,
 )
 from .errors import DimensionError, PartitionError, ValidationError
-from .nn.lstm import BiLstmModel, bilstm_forward
-from .nn.standardize import instance_features
+from .nn.lstm import BiLstmModel, predict_instance
 from .solvers.bnb import BnbOptions, branch_and_bound, repair_pattern
 
 MODE_HARD = "hard"
@@ -86,7 +90,9 @@ class EvalOptions:
     """Solver settings of the ML solves, and the caller's plain solve.
 
     ``baseline`` is the unrestricted solve of the same instance on the same
-    solver stack; its objective is z* and its wall time the plain time.
+    solver stack; its objective is z* and its wall time the plain time. Only
+    the per-mode ``solve_with_*`` functions, kept for the benchmark's
+    ``fixing`` grid, take it from the caller.
     """
 
     time_limit: float | None = None
@@ -113,48 +119,34 @@ class EvalRecord:
     T: int | None = None
 
 
-def _solve_restricted(
-    inst: Instance, plan: FixPlan, opts: EvalOptions, incumbent_y: tuple | None = None
-) -> Solution:
-    """The one exact solve behind every mode: cut rounds if asked, then B&B."""
-    bnb_opts = BnbOptions(
+def _solve_mode(
+    inst: Instance, pred: PredictionVector, mode: str, level_pct: float, opts: EvalOptions
+) -> EvalRecord:
+    """Build the mode's plan, re-solve with it and score the result against the baseline."""
+    t0 = time.perf_counter()
+    incumbent_y = None
+    if mode == MODE_HARD:
+        plan = select_predictions(pred, level_pct, inst)
+    elif mode == MODE_SOFT:
+        plan = soft_fix_plan(inst, pred)
+    else:
+        plan = FixPlan.empty()
+        incumbent_y = tuple(int(v) for v in repair_prediction(inst, pred))
+    sol = branch_and_bound(inst, plan, BnbOptions(
         time_limit=opts.time_limit, gap_tol=opts.gap_tol,
         ls_rounds=opts.ls_rounds, incumbent_y=incumbent_y,
-    )
-    return branch_and_bound(inst, plan, bnb_opts)
-
-
-def _finish_record(
-    inst: Instance,
-    mode: str,
-    level_pct: float,
-    sol: Solution,
-    plan_size: int,
-    time_ml: float,
-    opts: EvalOptions,
-) -> EvalRecord:
+    ))
+    time_ml = time.perf_counter() - t0 + pred.predict_seconds
     baseline = opts.baseline
     z_star = baseline.objective if baseline.status != STATUS_INFEASIBLE else None
-    feasible = sol.status != STATUS_INFEASIBLE
-    z_tilde = sol.objective if feasible else None
-    optgap = None
-    if feasible and z_star:
-        optgap = 100.0 * (z_tilde - z_star) / z_star
+    z_tilde = sol.objective if sol.status != STATUS_INFEASIBLE else None
+    optgap = 100.0 * (z_tilde - z_star) / z_star if z_tilde is not None and z_star else None
     meta = inst.meta or {}
     return EvalRecord(
-        instance_id=opts.instance_id,
-        mode=mode,
-        level_pct=level_pct,
-        status=sol.status,
-        z_star=z_star,
-        z_tilde=z_tilde,
-        time_plain_s=baseline.stats.wall_time_seconds,
-        time_ml_s=time_ml,
-        k_fixed=plan_size,
-        optgap_pct=optgap,
-        c_ratio=meta.get("c_ratio"),
-        f_ratio=meta.get("f_ratio"),
-        T=inst.T,
+        instance_id=opts.instance_id, mode=mode, level_pct=level_pct, status=sol.status,
+        z_star=z_star, z_tilde=z_tilde, time_plain_s=baseline.stats.wall_time_seconds,
+        time_ml_s=time_ml, k_fixed=len(plan), optgap_pct=optgap,
+        c_ratio=meta.get("c_ratio"), f_ratio=meta.get("f_ratio"), T=inst.T,
     )
 
 
@@ -162,11 +154,7 @@ def solve_with_hard_fix(
     inst: Instance, pred: PredictionVector, level_pct: float, opts: EvalOptions
 ) -> EvalRecord:
     """Pin the level's fix plan as constraints and re-solve."""
-    t0 = time.perf_counter()
-    plan = select_predictions(pred, level_pct, inst)
-    sol = _solve_restricted(inst, plan, opts)
-    time_ml = time.perf_counter() - t0 + pred.predict_seconds
-    return _finish_record(inst, MODE_HARD, level_pct, sol, len(plan), time_ml, opts)
+    return _solve_mode(inst, pred, MODE_HARD, level_pct, opts)
 
 
 def soft_fix_plan(inst: Instance, pred: PredictionVector) -> FixPlan:
@@ -187,11 +175,7 @@ def solve_with_soft_fix(
     inst: Instance, pred: PredictionVector, opts: EvalOptions
 ) -> EvalRecord:
     """Full-level fixing with progressive unfixing of closed periods."""
-    t0 = time.perf_counter()
-    plan = soft_fix_plan(inst, pred)
-    sol = _solve_restricted(inst, plan, opts)
-    time_ml = time.perf_counter() - t0 + pred.predict_seconds
-    return _finish_record(inst, MODE_SOFT, 100.0, sol, len(plan), time_ml, opts)
+    return _solve_mode(inst, pred, MODE_SOFT, 100.0, opts)
 
 
 def repair_prediction(inst: Instance, pred: PredictionVector) -> np.ndarray:
@@ -207,11 +191,36 @@ def solve_with_warm_start(
     inst: Instance, pred: PredictionVector, opts: EvalOptions
 ) -> EvalRecord:
     """Exact solve seeded with the repaired prediction as incumbent."""
-    t0 = time.perf_counter()
-    pattern = repair_prediction(inst, pred)
-    sol = _solve_restricted(inst, FixPlan.empty(), opts, tuple(int(v) for v in pattern))
-    time_ml = time.perf_counter() - t0 + pred.predict_seconds
-    return _finish_record(inst, MODE_WARM, 100.0, sol, 0, time_ml, opts)
+    return _solve_mode(inst, pred, MODE_WARM, 100.0, opts)
+
+
+def evaluate_instance(
+    inst: Instance, pred: PredictionVector, modes: list[str], levels: list[float],
+    opts: BnbOptions | None = None, instance_id: str = "",
+) -> list[EvalRecord]:
+    """One plain solve with ``opts``, then every (mode, level) record on that same stack.
+
+    Hard fix gives a record per level, soft fix and warm start one each at
+    level 100, in ``modes`` order; all share the plain solve's z* and time.
+    Modes, levels and the prediction are checked before any solve.
+    """
+    levels = [float(lv) for lv in levels]
+    if not modes or any(m not in MODES for m in modes):
+        raise ValidationError(f"modes must be a non-empty list from {', '.join(MODES)}: {modes}")
+    if any(not 0.0 <= lv <= 100.0 for lv in levels):
+        raise ValidationError(f"levels must lie in [0, 100]: {levels}")
+    if MODE_HARD in modes and not levels:
+        raise ValidationError("hard mode needs at least one level")
+    validate_prediction(pred, inst)
+    opts = opts or BnbOptions()
+    plain = EvalOptions(
+        time_limit=opts.time_limit, gap_tol=opts.gap_tol, ls_rounds=opts.ls_rounds,
+        baseline=branch_and_bound(inst, opts=opts), instance_id=instance_id,
+    )
+    return [
+        _solve_mode(inst, pred, mode, lv, plain)
+        for mode in modes for lv in (levels if mode == MODE_HARD else [100.0])
+    ]
 
 
 def concat_predictions(model: BiLstmModel, inst_long: Instance, chunk_T: int) -> PredictionVector:
@@ -220,22 +229,15 @@ def concat_predictions(model: BiLstmModel, inst_long: Instance, chunk_T: int) ->
         raise PartitionError(
             f"horizon {inst_long.T} is not a multiple of the chunk size {chunk_T}"
         )
-    if model.standardizer is None:
-        raise ValidationError("model has no standardizer attached")
     t0 = time.perf_counter()
     pieces = []
     for start in range(0, inst_long.T, chunk_T):
+        window = slice(start, start + chunk_T)
         sub = Instance(
-            T=chunk_T,
-            d=inst_long.d[start : start + chunk_T],
-            p=inst_long.p[start : start + chunk_T],
-            f=inst_long.f[start : start + chunk_T],
-            h=inst_long.h[start : start + chunk_T],
-            cap=inst_long.cap[start : start + chunk_T],
-            s0=0,
+            T=chunk_T, d=inst_long.d[window], p=inst_long.p[window], f=inst_long.f[window],
+            h=inst_long.h[window], cap=inst_long.cap[window], s0=0,
         )
-        feats = model.standardizer.transform(instance_features(sub))
-        pieces.append(bilstm_forward(model, feats))
+        pieces.append(predict_instance(model, sub))
     return PredictionVector(
         probs=np.concatenate(pieces),
         source=f"bilstm-chunked-{chunk_T}",

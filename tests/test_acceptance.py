@@ -22,16 +22,17 @@ from lotsize.nn import (
     train,
 )
 from lotsize.pipeline import (
-    EvalOptions,
+    MODE_HARD,
+    MODE_SOFT,
+    MODE_WARM,
     EvalRecord,
     PredictionVector,
     compute_metrics,
     concat_predictions,
+    evaluate_instance,
     select_predictions,
-    solve_with_hard_fix,
-    solve_with_soft_fix,
-    solve_with_warm_start,
 )
+from lotsize.report import summarize
 from lotsize.solvers import (
     BnbOptions,
     LpWorkspace,
@@ -44,6 +45,8 @@ from lotsize.solvers import (
 from test_gradcheck import finite_difference_check
 
 EVAL_LEVELS = (25.0, 50.0, 75.0, 85.0, 90.0, 95.0, 100.0)
+# The stack of ``lotsize evaluate``'s defaults, for the plain and the ML solves.
+EVAL_OPTS = BnbOptions(ls_rounds=3)
 TRAIN_BUDGET_CPU_SECONDS = 20 * 60
 
 
@@ -108,13 +111,11 @@ def test_predictions(desk_dataset, trained):
 
 @pytest.fixture(scope="session")
 def hard_fix_records(desk_dataset, test_predictions):
-    """Hard-fix records for the full test split at every evaluation level."""
-    records: dict[float, list[EvalRecord]] = {lv: [] for lv in EVAL_LEVELS}
-    for i, ((inst, oracle), pred) in enumerate(zip(desk_dataset["test"], test_predictions)):
-        opts = EvalOptions(ls_rounds=3, baseline=oracle, instance_id=f"test-{i:06d}")
-        for lv in EVAL_LEVELS:
-            records[lv].append(solve_with_hard_fix(inst, pred, lv, opts))
-    return records
+    """Per test instance, its hard-fix records at every evaluation level."""
+    return [
+        evaluate_instance(inst, pred, [MODE_HARD], EVAL_LEVELS, EVAL_OPTS, f"test-{i:06d}")
+        for i, ((inst, _), pred) in enumerate(zip(desk_dataset["test"], test_predictions))
+    ]
 
 
 def test_criterion_1_oracle_triangle():
@@ -155,7 +156,7 @@ def test_criterion_2_optimal_fix_zero_gap(desk_dataset):
     failures = 0
     for inst, oracle in desk_dataset["test"][:100]:
         pred = PredictionVector(probs=oracle.y.astype(np.float64))
-        record = solve_with_hard_fix(inst, pred, 100.0, EvalOptions(baseline=oracle))
+        [record] = evaluate_instance(inst, pred, [MODE_HARD], [100.0], EVAL_OPTS)
         if record.status == "Infeasible" or record.z_tilde is None:
             failures += 1
             continue
@@ -171,7 +172,7 @@ def test_criterion_3_fixing_monotonicity(desk_dataset, test_predictions, hard_fi
     obj_monotone_ok = True
     gap_ok = True
     for i in range(100):
-        inst, oracle = desk_dataset["test"][i]
+        inst, _ = desk_dataset["test"][i]
         pred = test_predictions[i]
         prev_entries: dict = {}
         for lv in levels:
@@ -179,10 +180,7 @@ def test_criterion_3_fixing_monotonicity(desk_dataset, test_predictions, hard_fi
             if not set(prev_entries.items()) <= set(plan.entries.items()):
                 nested_ok = False
             prev_entries = plan.entries
-        opts = EvalOptions(ls_rounds=3, baseline=oracle, instance_id=f"test-{i:06d}")
-        row = [solve_with_hard_fix(inst, pred, 0.0, opts)] + [
-            hard_fix_records[lv][i] for lv in EVAL_LEVELS
-        ]
+        row = evaluate_instance(inst, pred, [MODE_HARD], [0.0], EVAL_OPTS) + hard_fix_records[i]
         feasible_flags = [r.status != "Infeasible" for r in row]
         for a, b in zip(feasible_flags, feasible_flags[1:]):
             if b and not a:
@@ -287,7 +285,7 @@ def test_criterion_7_desk_scale_learning(desk_dataset, trained, hard_fix_records
     cpu = trained["cpu_seconds"]
     budget_ok = cpu <= TRAIN_BUDGET_CPU_SECONDS
     acc_ok = acc >= 0.85
-    reports = {lv: compute_metrics(hard_fix_records[lv]) for lv in EVAL_LEVELS}
+    reports = {r.level_pct: r for r in summarize(sum(hard_fix_records, []))}
     at50 = reports[50.0]
     level50_ok = at50.inf_pct <= 5.0 and at50.mean_optgap_pct <= 2.0
     inf_series = [reports[lv].inf_pct for lv in EVAL_LEVELS]
@@ -382,12 +380,8 @@ def test_criterion_9_baseline_ordering(desk_dataset, trained, test_predictions):
 def test_criterion_10_soft_warm_safety(desk_dataset, test_predictions):
     infeasible = 0
     worst_warm_gap = 0.0
-    for i in range(200):
-        inst, oracle = desk_dataset["test"][i]
-        pred = test_predictions[i]
-        opts = EvalOptions(ls_rounds=3, baseline=oracle, instance_id=f"test-{i:06d}")
-        soft = solve_with_soft_fix(inst, pred, opts)
-        warm = solve_with_warm_start(inst, pred, opts)
+    for (inst, _), pred in zip(desk_dataset["test"][:200], test_predictions):
+        soft, warm = evaluate_instance(inst, pred, [MODE_SOFT, MODE_WARM], [], EVAL_OPTS)
         if soft.status == "Infeasible" or warm.status == "Infeasible":
             infeasible += 1
         if warm.optgap_pct is not None:

@@ -169,8 +169,10 @@ def test_jobs_below_one_is_usage_error(argv, dataset_dir, tmp_path, capsys):
     (["solve", "--solver", "brute", "--gap-tol", 0.9], "--gap-tol"),
     (["solve", "--solver", "bnb", "--ls-rounds", 7], "--ls-rounds"),
     (["predict", "--baseline", "logistic", "--model", "/nonexistent.bin"], "--model"),
+    (["predict", "--model", "/nonexistent.bin", "--seed", 3], "--seed"),
     (["solve", "--solver", "bnb", "--config", "ls_rounds = 7"], "--ls-rounds"),
-], ids=["dp-all", "brute-gap-tol", "bnb-ls-rounds", "predict-both", "config-ls-rounds"])
+], ids=["dp-all", "brute-gap-tol", "bnb-ls-rounds", "predict-both", "predict-model-seed",
+        "config-ls-rounds"])
 def test_ignored_flag_is_usage_error(argv, flag, dataset_dir, tmp_path, capsys):
     if "--config" in argv:
         cfg = tmp_path / "run.cfg"
@@ -497,3 +499,15 @@ def test_scripts_print_help():
             capture_output=True, text=True, env=subprocess_env(), timeout=120,
         )
         assert proc.returncode == 0, f"{script.name}: {proc.stderr}"
+
+
+def test_horizon_script_evaluates_chunked_predictions(model_dir):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "horizon_generalization.py"),
+         "--model", str(model_dir / "model.bin"), "--chunk-T", "8", "--T", "16",
+         "--n", "3", "--levels", "50"],
+        capture_output=True, text=True, env=subprocess_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # A title line, the table header, then one row per level.
+    assert [row.split()[0] for row in proc.stdout.splitlines()[2:]] == ["50"]

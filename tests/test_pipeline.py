@@ -7,30 +7,25 @@ from lotsize import FixPlan, Instance, flow_feasible
 from lotsize.errors import PartitionError, ValidationError
 from lotsize.nn import BiLstmModel, Standardizer, bilstm_forward, instance_features
 from lotsize.pipeline import (
+    MODES,
     EvalOptions,
     EvalRecord,
     PredictionVector,
     compute_metrics,
     concat_predictions,
+    evaluate_instance,
     repair_prediction,
     select_predictions,
     soft_fix_plan,
     solve_with_hard_fix,
-    solve_with_soft_fix,
-    solve_with_warm_start,
 )
-from lotsize.solvers import branch_and_bound, brute_force, solve_for_pattern
+from lotsize.solvers import BnbOptions, branch_and_bound, brute_force, solve_for_pattern
 
 from conftest import generated_instances
 
 
 def pred(probs):
     return PredictionVector(probs=np.array(probs, dtype=float))
-
-
-def plain(inst):
-    """Options carrying the caller's unrestricted solve of ``inst``."""
-    return EvalOptions(baseline=branch_and_bound(inst))
 
 
 class TestSelectPredictions:
@@ -82,19 +77,19 @@ class TestSelectPredictions:
 
 class TestHardFix:
     def test_optimal_prediction_zero_gap(self, e1):
-        record = solve_with_hard_fix(e1, pred([0.9, 0.8, 0.1]), 100.0, plain(e1))
+        [record] = evaluate_instance(e1, pred([0.9, 0.8, 0.1]), ["hard"], [100])
         assert record.status == "Optimal"
         assert record.z_star == pytest.approx(17.0)
         assert record.optgap_pct == pytest.approx(0.0, abs=1e-9)
 
     def test_forced_closure_infeasible(self, e1):
-        record = solve_with_hard_fix(e1, pred([0.9, 0.05, 0.6]), 67.0, plain(e1))
+        [record] = evaluate_instance(e1, pred([0.9, 0.05, 0.6]), ["hard"], [67])
         assert record.status == "Infeasible"
         assert record.z_tilde is None
         assert record.optgap_pct is None
 
     def test_level_zero_matches_plain(self, e1):
-        record = solve_with_hard_fix(e1, pred([0.1, 0.1, 0.9]), 0.0, plain(e1))
+        [record] = evaluate_instance(e1, pred([0.1, 0.1, 0.9]), ["hard"], [0])
         assert record.k_fixed == 0
         assert record.z_tilde == pytest.approx(record.z_star)
 
@@ -118,33 +113,32 @@ class TestSoftFix:
         # closed period 3 drops first, still infeasible, then period 2.
         plan = soft_fix_plan(e1, pred([0.9, 0.1, 0.2]))
         assert plan.entries == {1: 1}
-        record = solve_with_soft_fix(e1, pred([0.9, 0.1, 0.2]), plain(e1))
+        [record] = evaluate_instance(e1, pred([0.9, 0.1, 0.2]), ["soft"], [])
         assert record.status == "Optimal"
         assert record.z_tilde == pytest.approx(17.0)
         assert record.optgap_pct == pytest.approx(0.0, abs=1e-9)
 
     def test_no_zero_fixes_equals_hard_full(self, e1):
         probs = [0.9, 0.8, 0.7]
-        soft = solve_with_soft_fix(e1, pred(probs), plain(e1))
-        hard = solve_with_hard_fix(e1, pred(probs), 100.0, plain(e1))
+        soft, hard = evaluate_instance(e1, pred(probs), ["soft", "hard"], [100])
         assert soft.status == hard.status
         if soft.z_tilde is not None:
             assert soft.z_tilde == pytest.approx(hard.z_tilde)
 
     def test_optimal_prediction(self, e1):
-        record = solve_with_soft_fix(e1, pred([0.9, 0.8, 0.1]), plain(e1))
+        [record] = evaluate_instance(e1, pred([0.9, 0.8, 0.1]), ["soft"], [])
         assert record.optgap_pct == pytest.approx(0.0, abs=1e-9)
 
     def test_never_infeasible_on_generated(self):
         for inst in generated_instances(10, seed=51, T=8):
             rng = np.random.default_rng(int(inst.d.sum()))
-            record = solve_with_soft_fix(inst, pred(rng.random(inst.T)), plain(inst))
+            [record] = evaluate_instance(inst, pred(rng.random(inst.T)), ["soft"], [])
             assert record.status != "Infeasible"
 
 
 class TestWarmStart:
     def test_exact_regardless_of_prediction(self, e1):
-        record = solve_with_warm_start(e1, pred([0.1, 0.1, 0.9]), plain(e1))
+        [record] = evaluate_instance(e1, pred([0.1, 0.1, 0.9]), ["warm"], [])
         assert record.status == "Optimal"
         assert record.z_tilde == pytest.approx(17.0)
         assert record.optgap_pct == pytest.approx(0.0, abs=1e-9)
@@ -171,6 +165,45 @@ class TestRepairPrediction:
         for inst in generated_instances(10, seed=52, T=8):
             repaired = repair_prediction(inst, pred(rng.random(inst.T)))
             assert flow_feasible(inst, FixPlan({t + 1: v for t, v in enumerate(repaired)}))
+
+
+class TestEvaluateInstance:
+    OPTS = BnbOptions(ls_rounds=3)
+
+    @pytest.fixture
+    def plans(self, monkeypatch) -> list:
+        """The plan of every ``branch_and_bound`` call the pipeline makes, in order."""
+        calls = []
+
+        def counted(inst, plan=None, opts=None):
+            calls.append(plan)
+            return branch_and_bound(inst, plan, opts)
+
+        monkeypatch.setattr("lotsize.pipeline.branch_and_bound", counted)
+        return calls
+
+    def test_one_plain_solve_then_one_per_record_in_mode_order(self, e1, plans):
+        records = evaluate_instance(e1, pred([0.9, 0.8, 0.1]), ["warm", "hard", "soft"], [75, 25])
+        assert [(r.mode, r.level_pct) for r in records] == [
+            ("warm", 100.0), ("hard", 75.0), ("hard", 25.0), ("soft", 100.0),
+        ]
+        assert plans[0] is None and len(plans) == 1 + len(records)
+
+    def test_records_share_the_plain_solve(self):
+        for inst in generated_instances(4, seed=53, T=8):
+            probs = np.random.default_rng(int(inst.d.sum())).random(inst.T)
+            records = evaluate_instance(inst, pred(probs), MODES, [0, 50, 100], self.OPTS, "x")
+            assert {r.z_star for r in records} == {branch_and_bound(inst, opts=self.OPTS).objective}
+            assert len({r.time_plain_s for r in records}) == 1
+            assert {r.instance_id for r in records} == {"x"}
+
+    @pytest.mark.parametrize("modes,levels", [
+        (["hard", "cold"], [50]), ([], [50]), (["soft", "hard"], []), (["hard"], [50, 120]),
+    ], ids=["unknown-mode", "no-mode", "hard-without-level", "level-120"])
+    def test_bad_grid_raises_before_any_solve(self, e1, plans, modes, levels):
+        with pytest.raises(ValidationError):
+            evaluate_instance(e1, pred([0.9, 0.1, 0.2]), modes, levels)
+        assert plans == []
 
 
 class TestConcatPredictions:
