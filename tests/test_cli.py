@@ -82,6 +82,23 @@ class TestGen:
                 row_b["solution"].pop("time")
                 assert row_a == row_b
 
+    def test_jobs_two_writes_the_same_dataset(self, tmp_path):
+        # The process pool must return every label in instance order.
+        for jobs in (1, 2):
+            assert run("gen", "--c", 3, "--f", 100, "--T", 8, "--n", 12, "--seed", 4,
+                       "--demand-range", "1,40", "--jobs", jobs,
+                       "--out", tmp_path / f"j{jobs}") == 0
+        one, two = tmp_path / "j1", tmp_path / "j2"
+        assert (one / "meta.json").read_bytes() == (two / "meta.json").read_bytes()
+        for name in ("train.jsonl", "val.jsonl", "test.jsonl"):
+            rows = []
+            for out in (one, two):
+                lines = [json.loads(line) for line in (out / name).read_text().splitlines()]
+                for row in lines:
+                    row["solution"].pop("time")
+                rows.append(lines)
+            assert rows[0] and rows[0] == rows[1]
+
     def test_n_below_minimum_is_usage_error(self, tmp_path):
         assert run("gen", "--c", 3, "--f", 100, "--T", 8, "--n", 5,
                    "--out", tmp_path / "x") == 2
@@ -108,6 +125,18 @@ class TestSolve:
         assert len(objs_a) == 5
         for a, b in zip(objs_a, objs_b):
             assert float(a) == pytest.approx(float(b), rel=1e-9)
+
+    def test_jobs_two_writes_the_same_solutions(self, dataset_dir, tmp_path):
+        rows = []
+        for jobs in (1, 2):
+            out = tmp_path / f"j{jobs}"
+            assert run("solve", "--dataset", dataset_dir, "--solver", "dp",
+                       "--jobs", jobs, "--out", out) == 0
+            table = list(csv.DictReader(open(out / "solutions.csv")))
+            for row in table:
+                row.pop("wall_time_s")
+            rows.append(table)
+        assert len(rows[0]) == 5 and rows[0] == rows[1]
 
     def test_brute_guard_on_long_horizon(self, tmp_path):
         big = tmp_path / "big"

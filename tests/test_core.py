@@ -1,6 +1,8 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lotsize import (
@@ -11,9 +13,11 @@ from lotsize import (
     flow_feasible,
     objective_value,
 )
+from lotsize.core import FEAS_TOL, Violation
 from lotsize.errors import DimensionError, ValidationError
+from lotsize.solvers import solve_dp
 
-from conftest import random_small_instance
+from conftest import edge_instances, random_small_instance
 
 
 def feasible_e1_solution(e1):
@@ -35,6 +39,54 @@ class TestObjectiveValue:
             objective_value(e1, [2, 4], [1, 1, 0], [0, 1, 0])
 
 
+def reference_check(inst: Instance, sol: Solution, tol: float = FEAS_TOL) -> list[Violation]:
+    """``check_solution`` as a loop over periods, one test at a time."""
+    violations = []
+    x, s, y = sol.x, sol.s, sol.y
+    implied = inst.s0 + np.cumsum(x) - np.cumsum(inst.d)
+    for t in range(inst.T):
+        if abs(implied[t] - s[t]) > tol:
+            violations.append(
+                Violation("flow", t + 1, f"reported s={s[t]:.6g}, implied {implied[t]:.6g}")
+            )
+        if x[t] > y[t] * inst.cap[t] + tol:
+            violations.append(
+                Violation("capacity", t + 1, f"x={x[t]:.6g} > y*cap={y[t] * inst.cap[t]:.6g}")
+            )
+        if x[t] < -tol:
+            violations.append(Violation("nonneg_x", t + 1, f"x={x[t]:.6g}"))
+        if s[t] < -tol:
+            violations.append(Violation("nonneg_s", t + 1, f"s={s[t]:.6g}"))
+        if min(abs(y[t]), abs(y[t] - 1)) > tol:
+            violations.append(Violation("binary", t + 1, f"y={y[t]!r}"))
+    recomputed = objective_value(inst, x, y, s)
+    if abs(recomputed - sol.objective) > tol * max(1.0, abs(recomputed)):
+        violations.append(
+            Violation("objective", None, f"reported {sol.objective:.9g} vs {recomputed:.9g}")
+        )
+    return violations
+
+
+@st.composite
+def perturbed_solutions(draw):
+    """An instance and its DP plan with some entries moved off the feasible set."""
+    inst = draw(edge_instances())
+    base = solve_dp(inst)
+    T = inst.T
+    x, s, y = base.x.copy(), base.s.copy(), base.y.copy()
+    delta = st.floats(-3, 3, allow_nan=False).filter(lambda v: abs(v) > 1e-3)
+    for t in draw(st.lists(st.integers(0, T - 1), min_size=1, max_size=2 * T)):
+        which = draw(st.sampled_from("xsy"))
+        if which == "y":
+            y[t] = draw(st.integers(-2, 3))
+        else:
+            vec = x if which == "x" else s
+            vec[t] += draw(st.one_of(delta, st.integers(-3, 3)))
+    objective = base.objective if base.status == "Optimal" else 0.0
+    objective += draw(st.sampled_from([0.0, 0.5, 1e-7, 1e-4]))
+    return inst, Solution(x=x, s=s, y=y, objective=objective, status="Optimal")
+
+
 class TestCheckSolution:
     def test_feasible_solution_clean(self, e1):
         assert check_solution(e1, feasible_e1_solution(e1), tol=1e-9) == []
@@ -53,6 +105,14 @@ class TestCheckSolution:
     def test_objective_mismatch_reported(self, e1):
         sol = Solution(x=[2, 4, 0], s=[0, 1, 0], y=[1, 1, 0], objective=20.0, status="Optimal")
         assert [v.kind for v in check_solution(e1, sol)] == ["objective"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=perturbed_solutions())
+    def test_matches_period_loop(self, case):
+        inst, sol = case
+        expected = reference_check(inst, sol)
+        assume(expected)
+        assert check_solution(inst, sol) == expected
 
 
 class TestFlowFeasible:
@@ -110,6 +170,33 @@ class TestInstanceValidation:
 
     def test_roundtrip_dict(self, e1):
         assert Instance.from_dict(e1.to_dict()) == e1
+
+    @settings(max_examples=150, deadline=None)
+    @given(inst=edge_instances(), meta=st.sampled_from([{}, {"instance_id": "train-3"}]))
+    def test_to_dict_writes_the_same_json(self, inst, meta):
+        # Dataset lines must not change by a byte: compare with the dicts
+        # built element by element.
+        inst = Instance.from_dict({**inst.to_dict(), "meta": meta})
+        by_element = {
+            "T": int(inst.T),
+            "d": [int(v) for v in inst.d],
+            "p": [float(v) for v in inst.p],
+            "f": [float(v) for v in inst.f],
+            "h": [float(v) for v in inst.h],
+            "cap": [int(v) for v in inst.cap],
+            "s0": int(inst.s0),
+        }
+        if meta:
+            by_element["meta"] = dict(meta)
+        assert json.dumps(inst.to_dict()) == json.dumps(by_element)
+        sol = solve_dp(inst)
+        assert json.dumps(sol.to_dict()) == json.dumps({
+            "x": [float(v) for v in sol.x],
+            "y": [int(v) for v in sol.y],
+            "s": [float(v) for v in sol.s],
+            "objective": float(sol.objective),
+            "time": float(sol.stats.wall_time_seconds),
+        })
 
     @pytest.mark.parametrize("field,value", [
         ("d", [2.5, 1]), ("cap", [3.7, 3]), ("s0", 1.5), ("d", [float("nan"), 1]), ("T", 2.5),

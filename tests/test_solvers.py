@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import minimum_filter1d
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from lotsize import FixPlan, GenParams, Instance, check_solution, generate_instance
+from lotsize import FixPlan, GenParams, Instance, Solution, check_solution, generate_instance
+from lotsize.core import STATUS_OPTIMAL, infeasible_solution
 from lotsize.errors import ResourceLimitError, ValidationError
 from lotsize.solvers import (
     SOLVERS,
@@ -20,10 +22,11 @@ from lotsize.solvers import (
     solve_for_pattern,
     solve_lp,
 )
+from lotsize.solvers.dp import DP_STATE_BUDGET
 from lotsize.solvers.lp import LP_OPTIMAL, LpWorkspace
 from lotsize.solvers.pattern import PathRelaxation
 
-from conftest import edge_instances, random_small_instance
+from conftest import desk_instances, edge_instances, random_small_instance
 
 
 def milp_objective(inst: Instance) -> float:
@@ -44,6 +47,55 @@ def milp_objective(inst: Instance) -> float:
     )
     assert res.status == 0
     return float(res.fun)
+
+
+def reference_dp(inst: Instance) -> Solution:
+    """The dynamic program as first written, one array expression per step.
+
+    ``solve_dp`` must return exactly this: the same status, objective and
+    vectors, bit for bit, so its buffered loops change speed only.
+    """
+    d, cap, T = inst.d, inst.cap, inst.T
+    cum_d = np.cumsum(d)
+    remaining = cum_d[-1] - cum_d
+    bounds = [int(remaining[t] + max(0, inst.s0 - cum_d[t])) for t in range(T)]
+    if sum(bounds) + T > DP_STATE_BUDGET:
+        raise ResourceLimitError("state budget")
+    F = np.full(int(d[0]) + bounds[0] + 1, np.inf)
+    F[inst.s0] = 0.0
+    tables = [F]
+    for t in range(T):
+        dt, n = int(d[t]), bounds[t] + 1
+        prev, k = F[: dt + n], np.arange(dt + n)
+        width = min(int(cap[t]), dt + n - 1)
+        window = minimum_filter1d(
+            prev - inst.p[t] * k, size=width + 1, origin=width // 2, mode="constant", cval=np.inf
+        )
+        produce = inst.f[t] + inst.p[t] * k[dt:] + window[dt:]
+        F = inst.h[t] * np.arange(n) + np.minimum(prev[dt:], produce)
+        tables.append(F)
+    if not np.isfinite(F).any():
+        return infeasible_solution(T)
+    s, x = np.zeros(T), np.zeros(T)
+    i = int(np.argmin(F))
+    objective = float(F[i])
+    for t in range(T - 1, -1, -1):
+        k = i + int(d[t])
+        j = np.arange(max(0, k - int(cap[t])), k + 1)
+        cost = tables[t][j] + inst.p[t] * (k - j) + np.where(j < k, inst.f[t], 0.0)
+        s[t] = i
+        i = int(j[np.argmin(cost)])
+        x[t] = k - i
+    return Solution(x=x, s=s, y=(x > 0).astype(np.int64), objective=objective,
+                    status=STATUS_OPTIMAL)
+
+
+def assert_same_as_reference(inst: Instance) -> None:
+    sol, ref = solve_dp(inst), reference_dp(inst)
+    assert sol.status == ref.status
+    assert sol.objective == ref.objective
+    for name in ("x", "s", "y"):
+        assert np.array_equal(getattr(sol, name), getattr(ref, name)), name
 
 
 def partial_fixings(inst: Instance):
@@ -177,6 +229,33 @@ class TestSolveDp:
         sol = solve_dp(inst)
         assert brute_force(inst).objective == pytest.approx(sol.objective)
         assert check_solution(inst, sol) == []
+
+
+class TestDpParity:
+    """``solve_dp`` against ``reference_dp``: equal, not approximately equal."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(inst=edge_instances())
+    def test_edge_instances(self, inst):
+        assert_same_as_reference(inst)
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=desk_instances(max_T=30))
+    def test_desk_instances(self, inst):
+        assert_same_as_reference(inst)
+
+    def test_paper_scale(self):
+        params = GenParams(c_ratio=3, f_ratio=100, T=90, demand_range=(1, 600), seed=11)
+        for i in range(2):
+            assert_same_as_reference(generate_instance(params, i))
+
+    def test_state_budget_in_both(self):
+        big = Instance(
+            T=5, d=[20_000_000] * 5, p=[1] * 5, f=[1] * 5, h=[1] * 5, cap=[40_000_000] * 5
+        )
+        for solver in (solve_dp, reference_dp):
+            with pytest.raises(ResourceLimitError):
+                solver(big)
 
 
 class TestBranchAndBound:
