@@ -3,15 +3,17 @@
 The exact flow test runs first, and a plan that pins every setup is answered
 without a relaxation. The cut-free root is then solved in closed form by
 ``PathRelaxation``, the production greedy of ``pattern.py``, and the root
-incumbent is built: the caller's ``incumbent_y`` if it is feasible, else the
-rounding-and-repair heuristic on that root.
+incumbent is built: the caller's ``incumbent_y`` if its pattern is feasible,
+else the rounding-and-repair heuristic on that root. An ``incumbent_y`` that
+is not a 0/1 vector of length T, or that breaks the plan, raises
+``ValidationError``: it would otherwise be returned as the restricted optimum.
 
 With ``BnbOptions.ls_rounds > 0`` one rule decides whether the root is cut.
 If the incumbent is within ``ROOT_GAP`` of the cut-free root, relative to
 the incumbent (``incumbent - root <= ROOT_GAP * |incumbent|``), the (l,S)
 loop is skipped: its rounds and its LP nodes, at about 0.3 ms each against
-0.06 ms for a closed-form node, cost more than the bound they could still
-close. Otherwise ``ls_rounds`` rounds of (l,S) separation
+about 0.04 ms for a closed-form node (T=20, shared 2-CPU machine), cost more
+than the bound they could still close. Otherwise ``ls_rounds`` rounds of (l,S) separation
 (``cuts.root_cut_loop``) tighten the root, starting from the closed-form
 point, so the cut-free LP is not solved again in HiGHS; the loop's last
 point is the root node, also when the loop found no cut. ``SolveStats``
@@ -106,6 +108,19 @@ def repair_pattern(inst: Instance, open_flags, scores, allowed=None) -> np.ndarr
     return y
 
 
+def _check_incumbent(y, T: int, fixed: dict[int, int]) -> None:
+    """A warm incumbent must be a 0/1 vector of length T that keeps the plan."""
+    if len(y) != T:
+        raise ValidationError(f"incumbent_y has length {len(y)}, expected {T}")
+    if any(v not in (0, 1) for v in y):
+        raise ValidationError("incumbent_y entries must be 0 or 1")
+    for t, v in fixed.items():
+        if y[t - 1] != v:
+            raise ValidationError(
+                f"incumbent_y sets period {t} to {y[t - 1]}, but the plan fixes it to {v}"
+            )
+
+
 def _root_incumbent(inst: Instance, fixed: dict[int, int], lp_y: np.ndarray) -> Solution | None:
     rounded = (lp_y >= 0.5).astype(np.int64)
     allowed = np.ones(inst.T, dtype=bool)
@@ -127,6 +142,8 @@ def branch_and_bound(
     opts = opts or BnbOptions()
     t0 = time.perf_counter()
     fixed = dict(plan.entries)
+    if opts.incumbent_y is not None:
+        _check_incumbent(opts.incumbent_y, inst.T, fixed)
     pool: list = []
     lp_solves = 0
     nodes_explored = 0
@@ -191,23 +208,29 @@ def branch_and_bound(
     def prune_bound(u: float) -> float:
         return u - max(opts.gap_tol * abs(u), 1e-12)
 
+    # Nodes whose bound reaches ``cutoff`` are pruned; it moves only when
+    # the incumbent does.
+    cutoff = prune_bound(upper())
     counter = itertools.count()
     heap: list[tuple[float, int, dict[int, int]]] = []
 
     def process(lp_sol, node_fixed: dict[int, int]) -> None:
-        nonlocal incumbent
-        frac = np.minimum(lp_sol.y, 1.0 - lp_sol.y)
-        free = [t for t in range(inst.T) if (t + 1) not in node_fixed]
-        frac_free = [(frac[t], t) for t in free if frac[t] > INT_TOL]
-        if not frac_free:
+        nonlocal incumbent, cutoff
+        # Most fractional free setup, ties to the earliest period.
+        best, branch_t = INT_TOL, -1
+        for t, v in enumerate(lp_sol.y.tolist()):
+            frac = 1.0 - v if v > 0.5 else v
+            if frac > best and (t + 1) not in node_fixed:
+                best, branch_t = frac, t
+        if branch_t < 0:
             pattern = np.round(lp_sol.y).astype(np.int64)
             for t, v in node_fixed.items():
                 pattern[t - 1] = v
             cand = solve_for_pattern(inst, pattern)
             if cand is not None and cand.objective < upper():
                 incumbent = cand
+                cutoff = prune_bound(cand.objective)
             return
-        _, branch_t = max(frac_free, key=lambda it: (it[0], -it[1]))
         for v in (0, 1):
             child = dict(node_fixed)
             child[branch_t + 1] = v
@@ -217,22 +240,20 @@ def branch_and_bound(
     status = STATUS_OPTIMAL
     lower = root.objective
     while heap:
+        # The best bound on the heap is the one popped below.
         lower = heap[0][0]
-        u = upper()
-        if lower >= prune_bound(u):
+        if lower >= cutoff:
             break
         if opts.time_limit is not None and time.perf_counter() - t0 > opts.time_limit:
             status = STATUS_TIME_LIMIT
             break
-        bound, _, node_fixed = heapq.heappop(heap)
-        if bound >= prune_bound(upper()):
-            continue
+        node_fixed = heapq.heappop(heap)[2]
         lp_sol = relaxation.solve(node_fixed)
         nodes_explored += 1
         lp_solves += 1
         if lp_sol.status != LP_OPTIMAL:
             continue
-        if lp_sol.objective >= prune_bound(upper()):
+        if lp_sol.objective >= cutoff:
             continue
         process(lp_sol, node_fixed)
 

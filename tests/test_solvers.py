@@ -1,5 +1,6 @@
 """Branch and bound, dynamic program and brute force against each other."""
 
+import heapq
 import itertools
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from scipy.ndimage import minimum_filter1d
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from lotsize import FixPlan, GenParams, Instance, Solution, check_solution, generate_instance
+from lotsize import (
+    FixPlan, GenParams, Instance, Solution, check_solution, desk_params, generate_instance,
+)
 from lotsize.core import STATUS_OPTIMAL, infeasible_solution
 from lotsize.errors import ResourceLimitError, ValidationError
 from lotsize.solvers import (
@@ -24,7 +27,7 @@ from lotsize.solvers import (
 )
 from lotsize.solvers.dp import DP_STATE_BUDGET
 from lotsize.solvers.lp import LP_OPTIMAL, LpWorkspace
-from lotsize.solvers.pattern import PathRelaxation
+from lotsize.solvers.pattern import PathRelaxation, greedy_production
 
 from conftest import desk_instances, edge_instances, random_small_instance
 
@@ -101,6 +104,61 @@ def assert_same_as_reference(inst: Instance) -> None:
 def partial_fixings(inst: Instance):
     """1-based setup fixings of any size, values 0 or 1."""
     return st.dictionaries(st.integers(1, inst.T), st.integers(0, 1), max_size=inst.T)
+
+
+def reference_greedy(need, unit_cost, upper):
+    """The production greedy as first written, one ``take`` per step.
+
+    ``greedy_production`` must return exactly this list, or None with it,
+    so its leaner loop changes speed only.
+    """
+    x = [0.0] * len(need)
+    sources = []
+    produced = 0.0
+    for k, need_k in enumerate(need):
+        if upper[k] > 0:
+            heapq.heappush(sources, (unit_cost[k], k))
+        deficit = need_k - produced
+        while deficit > 0:
+            if not sources:
+                return None
+            u = sources[0][1]
+            room = upper[u] - x[u]
+            if room <= deficit:
+                heapq.heappop(sources)
+                x[u] = upper[u]
+                take = room
+            else:
+                x[u] += deficit
+                take = deficit
+            produced += take
+            deficit -= take
+    return x
+
+
+class TestGreedyParity:
+    def test_matches_reference_on_random_inputs(self):
+        rng = np.random.default_rng(4242)
+        infeasible = zero_upper = negative_need = 0
+        for _ in range(4000):
+            T = int(rng.integers(1, 13))
+            s0 = int(rng.integers(0, 16)) if rng.random() < 0.5 else 0
+            # Integer needs as the callers pass them; s0 > 0 makes early ones negative.
+            need = (np.cumsum(rng.integers(0, 10, T)) - s0).tolist()
+            # Few distinct costs give ties; a fractional part mimics f / cap.
+            unit_cost = rng.integers(0, 4, T).astype(float)
+            if rng.random() < 0.5:
+                unit_cost += rng.integers(0, 3, T) / rng.integers(1, 8, T)
+            upper = rng.integers(0, 14, T) * (rng.random(T) < 0.8)
+            upper = upper.tolist() if rng.random() < 0.5 else upper.astype(float).tolist()
+            want = reference_greedy(need, unit_cost.tolist(), upper)
+            got = greedy_production(need, unit_cost.tolist(), upper)
+            assert got == want
+            infeasible += want is None
+            zero_upper += 0 in upper
+            negative_need += need[0] < 0
+        # The draw reaches every edge case the docstring names.
+        assert min(infeasible, zero_upper, negative_need) > 100
 
 
 class TestPatternSolver:
@@ -278,6 +336,23 @@ class TestBranchAndBound:
         warm = branch_and_bound(e1, opts=BnbOptions(incumbent_y=(1, 1, 0)))
         assert warm.objective == pytest.approx(cold.objective)
         assert warm.stats.nodes_explored <= cold.stats.nodes_explored
+
+    def test_incumbent_that_breaks_the_plan_is_rejected(self):
+        inst = generate_instance(desk_params(3, 100.0, T=10, seed=3), 0)
+        free = branch_and_bound(inst)
+        plan = FixPlan({10: 0})
+        assert free.y[9] == 1
+        assert branch_and_bound(inst, plan).objective == 1078.0
+        with pytest.raises(ValidationError, match="period 10"):
+            branch_and_bound(inst, plan, BnbOptions(incumbent_y=tuple(free.y.tolist())))
+
+    @pytest.mark.parametrize(
+        "incumbent, match",
+        [((1, 1), "length"), ((1, 1, 0, 1), "length"), ((1, 2, 0), "0 or 1"), ((1, 0.5, 0), "0 or 1")],
+    )
+    def test_malformed_incumbent_is_rejected(self, e1, incumbent, match):
+        with pytest.raises(ValidationError, match=match):
+            branch_and_bound(e1, opts=BnbOptions(incumbent_y=incumbent))
 
     def test_time_limit_keeps_incumbent(self):
         rng = np.random.default_rng(77)
