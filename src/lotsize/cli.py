@@ -7,8 +7,8 @@ solver flag the chosen backend does not read is a usage error. A config file
 of ``key = value`` lines (``--config FILE``) pre-sets long flags of the
 chosen command: each line becomes ``--key=value`` ahead of the explicit
 flags, which therefore win, and a key the command does not define is a usage
-error. Exit codes: 0 success, 2 usage, 3 missing input, 4 format mismatch,
-5 resource limits.
+error. Exit codes: 0 success, 2 usage, 3 missing input or an output path
+that cannot be written, 4 format mismatch, 5 resource limits.
 """
 
 from __future__ import annotations
@@ -169,12 +169,10 @@ def cmd_solve(args, manifest: RunManifest) -> int:
             raise UsageError(f"--solver {args.solver} does not read --{name.replace('_', '-')}")
     _, split = _read_split(args)
     gap_tol = BnbOptions.gap_tol if args.gap_tol is None else args.gap_tol
-    solver = functools.partial(
-        solve,
-        args.solver,
-        opts=BnbOptions(time_limit=args.time_limit, gap_tol=gap_tol),
-        ls_rounds=DEFAULT_ROUNDS if args.ls_rounds is None else args.ls_rounds,
-    )
+    rounds = DEFAULT_ROUNDS if args.ls_rounds is None else args.ls_rounds
+    opts = BnbOptions(time_limit=args.time_limit, gap_tol=gap_tol,
+                      ls_rounds=rounds if args.solver == "lscuts" else 0)
+    solver = functools.partial(solve, args.solver, opts=opts)
     with _mapper(args.jobs) as map_fn:
         solutions = list(map_fn(solver, [inst for inst, _ in split]))
     out = Path(args.out)
@@ -398,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
             tool_version=__version__,
         )
         return args.func(args, manifest)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ModelFormatError as exc:

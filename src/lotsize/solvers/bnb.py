@@ -144,7 +144,7 @@ def branch_and_bound(
     fixed = dict(plan.entries)
     if opts.incumbent_y is not None:
         _check_incumbent(opts.incumbent_y, inst.T, fixed)
-    pool: list = []
+    pool = np.zeros((0, 3 * inst.T))
     lp_solves = 0
     nodes_explored = 0
     cut_stop = "off"
@@ -197,7 +197,7 @@ def branch_and_bound(
             )
             lp_solves = len(bounds) + (root.status != LP_OPTIMAL)
             cut_stop = "rounds" if len(bounds) > opts.ls_rounds else "no-cut"
-            if pool:
+            if len(pool):
                 relaxation = workspace
             if root.status == LP_INFEASIBLE:
                 return infeasible_solution(inst.T, stats())

@@ -2,7 +2,10 @@
 
 Variable layout is ``[x_1..x_T, s_1..s_T, y_1..y_T]``. Flow balance rows are
 equalities, capacity linking and cut rows are <= inequalities, and fixing a
-setup variable collapses its bounds.
+setup variable collapses its bounds. Every row enters the model the same
+way: as a dense block over that layout, whose nonzeros go to HiGHS in
+compressed-row form. A cut row is ``cuts.separate_ls_cuts``'s output as it
+is, read as ``row @ z <= 0``.
 
 ``LpWorkspace`` keeps one HiGHS model per instance, through the HiGHS bindings
 that scipy bundles (``scipy.optimize._highspy``; no public scipy API keeps a
@@ -41,28 +44,25 @@ class LpSolution:
     status: str
 
 
-def _add_rows(highs, lower: np.ndarray, upper: np.ndarray, rows) -> None:
-    """Append rows given as lists of (column, coefficient) pairs, float64 bounds."""
-    starts = np.cumsum([0] + [len(r) for r in rows[:-1]], dtype=np.int32)
-    index = np.array([c for r in rows for c, _ in r], dtype=np.int32)
-    value = np.array([v for r in rows for _, v in r], dtype=np.float64)
-    highs.addRows(len(rows), lower, upper, len(index), starts, index, value)
+def _add_rows(highs, lower: np.ndarray, upper: np.ndarray, rows: np.ndarray) -> None:
+    """Append a dense float64 row block, passing its nonzeros to HiGHS as CSR."""
+    r, c = np.nonzero(rows)
+    starts = np.searchsorted(r, np.arange(len(rows))).astype(np.int32)
+    highs.addRows(len(rows), lower, upper, len(c), starts, c.astype(np.int32), rows[r, c])
 
 
 class LpWorkspace:
     """One persistent HiGHS model for repeated solves of one instance.
 
-    The flow and capacity rows are built once; ``add_cuts`` appends cut rows
-    and ``cuts`` holds every cut the model carries. ``solve`` changes only
-    the setup bounds and re-runs the dual simplex from the basis the last
-    solve left. Without cut rows, branch and bound uses the closed-form
-    ``PathRelaxation`` instead.
+    The flow and capacity rows are built once; ``add_cuts`` appends cut
+    rows. ``solve`` changes only the setup bounds and re-runs the dual
+    simplex from the basis the last solve left. Without cut rows, branch and
+    bound uses the closed-form ``PathRelaxation`` instead.
     """
 
     def __init__(self, inst: Instance):
         T = inst.T
         self.inst = inst
-        self.cuts: tuple = ()
         self._y_cols = np.arange(2 * T, 3 * T, dtype=np.int32)
         highs = _highs._Highs()
         highs.setOptionValue("output_flag", False)
@@ -72,33 +72,23 @@ class LpWorkspace:
         upper = np.concatenate([np.full(2 * T, _highs.kHighsInf), np.ones(T)])
         empty = np.zeros(0, dtype=np.int32)
         highs.addCols(3 * T, cost, lower, upper, 0, empty, empty, np.zeros(0))
-        # Flow balance: s_{t-1} + x_t - s_t = d_t (s0 moves to the first row).
-        flow = [
-            [(t, 1.0), (T + t, -1.0)] + ([(T + t - 1, 1.0)] if t > 0 else [])
-            for t in range(T)
-        ]
+        # Row t is flow balance, s_{t-1} + x_t - s_t = d_t (s0 moves to the
+        # first row); row T + t is capacity linking, x_t - cap_t * y_t <= 0.
+        t = np.arange(T)
+        rows = np.zeros((2 * T, 3 * T))
+        rows[t, t] = rows[T + t, t] = 1.0
+        rows[t, T + t] = -1.0
+        rows[t[1:], T + t[:-1]] = 1.0
+        rows[T + t, 2 * T + t] = -inst.cap
         rhs = inst.d.astype(np.float64)
         rhs[0] -= inst.s0
-        _add_rows(highs, rhs, rhs, flow)
-        # Capacity linking: x_t - cap_t * y_t <= 0.
-        linking = [[(t, 1.0), (2 * T + t, -float(inst.cap[t]))] for t in range(T)]
-        _add_rows(highs, np.full(T, -_highs.kHighsInf), np.zeros(T), linking)
+        _add_rows(highs, np.concatenate([rhs, np.full(T, -_highs.kHighsInf)]),
+                  np.concatenate([rhs, np.zeros(T)]), rows)
         self._highs = highs
 
-    def add_cuts(self, cuts) -> None:
-        """Append one row per cut: sum_S x_t - sum_S coeff_t * y_t - s_ell <= 0."""
-        cuts = tuple(cuts)
-        if not cuts:
-            return
-        T = self.inst.T
-        rows = [
-            [(t - 1, 1.0) for t in cut.set_S]
-            + [(2 * T + t - 1, -c) for t, c in zip(cut.set_S, cut.coeffs)]
-            + [(T + cut.ell - 1, -1.0)]
-            for cut in cuts
-        ]
-        _add_rows(self._highs, np.full(len(cuts), -_highs.kHighsInf), np.zeros(len(cuts)), rows)
-        self.cuts += cuts
+    def add_cuts(self, rows: np.ndarray) -> None:
+        """Append cut rows over ``[x, s, y]``, each read as ``row @ z <= 0``."""
+        _add_rows(self._highs, np.full(len(rows), -_highs.kHighsInf), np.zeros(len(rows)), rows)
 
     def solve(self, fixed: dict[int, int] | None = None) -> LpSolution:
         """Solve with setup bounds collapsed per the 1-based ``fixed`` map."""

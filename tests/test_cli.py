@@ -112,6 +112,13 @@ class TestGen:
         assert run("gen", "--c", 3, "--f", 100, "--T", 8, "--n", 10,
                    "--oracle", "magic", "--out", tmp_path / "x") == 2
 
+    def test_output_path_that_is_a_file_is_io_error(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert run("gen", "--c", 3, "--f", 100, "--T", 8, "--n", 10,
+                   "--demand-range", "1,20", "--out", afile) == 3
+        assert "io error" in capsys.readouterr().err
+
 
 class TestSolve:
     def test_bnb_and_dp_agree(self, dataset_dir, tmp_path):
@@ -149,6 +156,12 @@ class TestSolve:
         assert run("solve", "--dataset", tmp_path / "absent", "--solver", "dp",
                    "--out", tmp_path / "o") == 3
 
+    def test_output_path_under_a_file_is_io_error(self, dataset_dir, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        assert run("solve", "--dataset", dataset_dir, "--solver", "dp",
+                   "--out", tmp_path / "afile" / "x") == 3
+        assert "io error" in capsys.readouterr().err
+
     def test_unknown_solver_is_usage_error(self, dataset_dir, tmp_path):
         assert run("solve", "--dataset", dataset_dir, "--solver", "nope",
                    "--out", tmp_path / "o") == 2
@@ -166,6 +179,12 @@ class TestSolve:
                    "--out", tmp_path / "b") == 0
         rows = list(csv.DictReader(open(tmp_path / "b" / "solutions.csv")))
         assert {r["cut_stop"] for r in rows} == {"off"}
+
+    def test_lscuts_without_rounds_is_usage_error(self, dataset_dir, tmp_path, capsys):
+        assert run("solve", "--dataset", dataset_dir, "--solver", "lscuts",
+                   "--ls-rounds", 0, "--out", tmp_path / "o") == EXIT_USAGE
+        assert "ls_rounds" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     # A negative limit made every solve a TimeLimit; a NaN gap_tol turned pruning off.
     @pytest.mark.parametrize("flags", [

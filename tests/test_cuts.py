@@ -19,7 +19,7 @@ from lotsize.solvers import (
     solve_lp,
     solve_with_ls_cuts,
 )
-from lotsize.solvers.cuts import LsCut
+from lotsize.solvers.cuts import SEPARATION_TOL
 from lotsize.solvers.lp import LpSolution, LP_OPTIMAL
 from lotsize.solvers.pattern import PathRelaxation
 
@@ -54,26 +54,94 @@ def lp_point(inst, x, y, s):
     )
 
 
+def violations(rows, x, y, s):
+    """Left side minus right side of each cut row at a point; positive means violated."""
+    return rows @ np.concatenate([x, s, y])
+
+
+def prefixes(rows, T):
+    """The 1-based prefix ``ell`` of each cut row: where its -1 on ``s`` sits."""
+    return [int(np.flatnonzero(row[T : 2 * T])[0]) + 1 for row in rows]
+
+
+def reference_separation(inst, x, y, s, tol):
+    """The separation rule as a scan over prefixes and periods, emitting rows."""
+    T = inst.T
+    rows = []
+    cum = np.concatenate([[0.0], np.cumsum(inst.d)])
+    for ell in range(1, T + 1):
+        row = np.zeros(3 * T)
+        members = False
+        slack = 0.0
+        for t in range(1, ell + 1):
+            d_tl = cum[ell] - cum[t - 1]
+            margin = x[t - 1] - d_tl * y[t - 1]
+            if margin > 0:
+                row[t - 1] = 1.0
+                row[2 * T + t - 1] = -d_tl
+                members = True
+                slack += margin
+        if members and slack - s[ell - 1] > tol:
+            row[T + ell - 1] = -1.0
+            rows.append(row)
+    return np.array(rows).reshape(-1, 3 * T)
+
+
+@st.composite
+def separation_points(draw):
+    """An instance at T in {1, 5, 20, 60} and an optimal-status point to separate.
+
+    Demands and capacities may be zero, and ``s0`` positive. The point is the
+    instance's LP optimum when drawn and feasible. Otherwise each period's
+    ``x`` is 0, exactly ``d_{t,ell} * y_t`` for a drawn ``ell >= t`` (a margin
+    of exactly 0 at that prefix), or a value up to its capacity; ``y`` mixes
+    0, 1/2, 1 and arbitrary fractions.
+    """
+    T = draw(st.sampled_from([1, 5, 20, 60]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = rng.integers(0, 30, T)
+    cap = np.where(rng.random(T) < 0.2, 0, rng.integers(0, 90, T))
+    inst = Instance(T=T, d=d, p=rng.integers(0, 5, T), f=rng.integers(0, 300, T),
+                    h=rng.integers(0, 3, T), cap=cap, s0=draw(st.integers(0, 40)))
+    if draw(st.booleans()):
+        lp = solve_lp(inst)
+        if lp.status == LP_OPTIMAL:
+            return inst, lp
+    cum = np.concatenate([[0.0], np.cumsum(inst.d)])
+    y = rng.choice([0.0, 0.5, 1.0, rng.random()], size=T)
+    x = np.zeros(T)
+    for t in range(1, T + 1):
+        kind = rng.integers(3)
+        if kind == 1:
+            ell = int(rng.integers(t, T + 1))
+            x[t - 1] = (cum[ell] - cum[t - 1]) * y[t - 1]
+        elif kind == 2:
+            x[t - 1] = rng.random() * cap[t - 1]
+    s = np.where(rng.random(T) < 0.5, 0.0, rng.random(T) * 50)
+    return inst, lp_point(inst, x, y, s)
+
+
 class TestSeparation:
     def test_two_period_fractional_point(self):
         inst = Instance(T=2, d=[1, 1], p=[1, 1], f=[5, 5], h=[1, 1], cap=[3, 3])
-        point = lp_point(inst, [2, 0], [0.5, 0], [1, 0])
-        cuts = separate_ls_cuts(inst, point, tol=1e-6)
-        by_ell = {c.ell: c for c in cuts}
+        x, y, s = [2, 0], [0.5, 0], [1, 0]
+        rows = separate_ls_cuts(inst, lp_point(inst, x, y, s), tol=1e-6)
+        by_ell = dict(zip(prefixes(rows, 2), rows))
+        found = dict(zip(prefixes(rows, 2), violations(rows, x, y, s)))
         # Prefix 2 gives the textbook violation of 1.0 with S={1}.
         assert 2 in by_ell
-        assert by_ell[2].set_S == (1,)
-        assert by_ell[2].violation([2, 0], [0.5, 0], [1, 0]) == pytest.approx(1.0)
+        assert np.flatnonzero(by_ell[2][:2]).tolist() == [0]
+        assert found[2] == pytest.approx(1.0)
         # The separation rule examines every prefix; match the enumeration.
-        oracle = enumerate_most_violated(inst, [2, 0], [0.5, 0], [1, 0], tol=1e-6)
-        assert set(by_ell) == set(oracle)
-        for ell, cut in by_ell.items():
-            assert cut.violation([2, 0], [0.5, 0], [1, 0]) == pytest.approx(oracle[ell][0])
+        oracle = enumerate_most_violated(inst, x, y, s, tol=1e-6)
+        assert set(found) == set(oracle)
+        for ell, violation in found.items():
+            assert violation == pytest.approx(oracle[ell][0])
 
     def test_integer_optimum_yields_nothing(self, e1):
         opt = brute_force(e1)
         point = lp_point(e1, opt.x, opt.y, opt.s)
-        assert separate_ls_cuts(e1, point, tol=1e-6) == []
+        assert separate_ls_cuts(e1, point, tol=1e-6).shape == (0, 9)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 100_000))
@@ -82,17 +150,27 @@ class TestSeparation:
         lp = solve_lp(inst)
         if lp.status != LP_OPTIMAL:
             return
-        cuts = separate_ls_cuts(inst, lp, tol=1e-6)
+        rows = separate_ls_cuts(inst, lp, tol=1e-6)
         oracle = enumerate_most_violated(inst, lp.x, lp.y, lp.s, tol=1e-6)
-        assert {c.ell for c in cuts} == set(oracle)
-        for c in cuts:
-            assert c.violation(lp.x, lp.y, lp.s) == pytest.approx(
-                oracle[c.ell][0], abs=1e-9
-            )
+        assert prefixes(rows, inst.T) == sorted(oracle)
+        for ell, violation in zip(prefixes(rows, inst.T), violations(rows, lp.x, lp.y, lp.s)):
+            assert violation == pytest.approx(oracle[ell][0], abs=1e-9)
 
-    def test_subset_must_be_nonempty(self):
-        with pytest.raises(Exception):
-            LsCut(ell=2, set_S=(), coeffs=())
+    @settings(max_examples=120, deadline=None)
+    @given(case=separation_points())
+    def test_matches_the_scan_row_for_row(self, case):
+        inst, point = case
+        rows = separate_ls_cuts(inst, point)
+        assert rows.dtype == np.float64
+        assert np.array_equal(rows, reference_separation(inst, point.x, point.y, point.s,
+                                                         SEPARATION_TOL))
+
+    @pytest.mark.parametrize("T", [1, 5, 20, 60])
+    def test_point_without_violated_prefix_gives_no_rows(self, T):
+        inst = generated_instances(1, seed=28, T=T)[0]
+        zero = lp_point(inst, np.zeros(T), np.zeros(T), np.zeros(T))
+        assert separate_ls_cuts(inst, zero).shape == (0, 3 * T)
+        assert reference_separation(inst, zero.x, zero.y, zero.s, SEPARATION_TOL).shape == (0, 3 * T)
 
 
 class TestCutValidity:
@@ -100,8 +178,7 @@ class TestCutValidity:
         for inst in generated_instances(15, seed=21, T=8):
             pool, _, _ = root_cut_loop(inst, rounds=5)
             opt = branch_and_bound(inst)
-            for cut in pool:
-                assert cut.violation(opt.x, opt.y, opt.s) <= 1e-6
+            assert np.all(violations(pool, opt.x, opt.y, opt.s) <= 1e-6)
 
 
 class TestRootLoop:
@@ -211,9 +288,18 @@ class TestRelaxationsSolvedOnce:
     def solves(self, monkeypatch):
         """Every relaxation solved, keyed by the cut rows it holds and its fixings."""
         calls = []
+        # Cut rows appended to each workspace; the workspaces stay referenced,
+        # so no two share a key.
+        cut_rows = {}
+
+        def add_cuts(self, rows, _add=LpWorkspace.add_cuts):
+            cut_rows[self] = cut_rows.get(self, 0) + len(rows)
+            _add(self, rows)
+
+        monkeypatch.setattr(LpWorkspace, "add_cuts", add_cuts)
         for cls in (LpWorkspace, PathRelaxation):
             def counted(self, fixed=None, _solve=cls.solve):
-                rows = getattr(self, "cuts", ())
+                rows = cut_rows.get(self, 0)
                 calls.append((type(self).__name__, rows, tuple(sorted((fixed or {}).items()))))
                 return _solve(self, fixed)
 
@@ -258,7 +344,7 @@ class TestRelaxationsSolvedOnce:
                 solves.clear()
                 st = solve_with_ls_cuts(inst, rounds, plan=plan).stats
                 root_key = tuple(sorted(dict(plan.entries).items()))
-                screen = [name for name, rows, key in solves if key == root_key and rows == ()]
+                screen = [name for name, rows, key in solves if key == root_key and rows == 0]
                 loop_lps = sum(
                     1 for name, _, key in solves if name == "LpWorkspace" and key == root_key
                 )

@@ -7,7 +7,6 @@ from scipy.optimize import linprog
 from lotsize import FixPlan, Instance, flow_feasible
 from lotsize.errors import UndefinedGapError
 from lotsize.solvers import LpWorkspace, compute_igap, solve_lp
-from lotsize.solvers.cuts import LsCut
 from lotsize.solvers.lp import LP_INFEASIBLE, LP_OPTIMAL
 
 from conftest import desk_instances, edge_instances, random_small_instance
@@ -19,16 +18,13 @@ def linprog_reference(inst: Instance, cuts, fixed: dict[int, int]) -> tuple[str,
     A_eq = np.zeros((T, 3 * T))
     b_eq = inst.d.astype(float)
     b_eq[0] -= inst.s0
-    A_ub = np.zeros((T + len(cuts), 3 * T))
+    linking = np.zeros((T, 3 * T))
     for t in range(T):
         A_eq[t, t], A_eq[t, T + t] = 1.0, -1.0
         if t > 0:
             A_eq[t, T + t - 1] = 1.0
-        A_ub[t, t], A_ub[t, 2 * T + t] = 1.0, -float(inst.cap[t])
-    for row, cut in enumerate(cuts, T):
-        for t, coeff in zip(cut.set_S, cut.coeffs):
-            A_ub[row, t - 1], A_ub[row, 2 * T + t - 1] = 1.0, -coeff
-        A_ub[row, T + cut.ell - 1] = -1.0
+        linking[t, t], linking[t, 2 * T + t] = 1.0, -float(inst.cap[t])
+    A_ub = np.vstack([linking, *cuts])
     bounds = [(0, None)] * (2 * T) + [(fixed.get(t, 0), fixed.get(t, 1)) for t in range(1, T + 1)]
     res = linprog(np.concatenate([inst.p, inst.h, inst.f]), A_ub=A_ub, b_ub=np.zeros(len(A_ub)),
                   A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
@@ -36,9 +32,19 @@ def linprog_reference(inst: Instance, cuts, fixed: dict[int, int]) -> tuple[str,
     return (LP_OPTIMAL, res.fun) if res.status == 0 else (LP_INFEASIBLE, float("inf"))
 
 
+def ls_row(T: int, cum, ell: int, S) -> np.ndarray:
+    """The (l,S) cut row over ``[x, s, y]`` for prefix ``ell`` and subset ``S`` (1-based)."""
+    row = np.zeros(3 * T)
+    for t in S:
+        row[t - 1] = 1.0
+        row[2 * T + t - 1] = -float(cum[ell] - cum[t - 1])
+    row[T + ell - 1] = -1.0
+    return row
+
+
 @st.composite
 def workspace_steps(draw):
-    """An instance and a sequence of setup fixings and (l,S) cuts to apply to it."""
+    """An instance and a sequence of setup fixings and (l,S) cut rows to apply to it."""
     inst = draw(st.one_of(edge_instances(), desk_instances()))
     T = inst.T
     cum = np.concatenate([[0], np.cumsum(inst.d)])
@@ -47,8 +53,8 @@ def workspace_steps(draw):
                               max_size=10)):
         if kind == "cut":
             ell = draw(st.integers(1, T))
-            S = tuple(sorted(draw(st.sets(st.integers(1, ell), min_size=1))))
-            steps.append(LsCut(ell, S, tuple(float(cum[ell] - cum[t - 1]) for t in S)))
+            S = sorted(draw(st.sets(st.integers(1, ell), min_size=1)))
+            steps.append(ls_row(T, cum, ell, S))
         elif kind == "close":
             # Every setup closed: infeasible whenever s0 falls short of demand.
             steps.append({t: 0 for t in range(1, T + 1)})
@@ -101,8 +107,8 @@ class TestPersistentWorkspace:
         ws = LpWorkspace(inst)
         cuts = []
         for step in steps:
-            if isinstance(step, LsCut):
-                ws.add_cuts([step])
+            if isinstance(step, np.ndarray):
+                ws.add_cuts(step[None])
                 cuts.append(step)
                 continue
             lp = ws.solve(step)
@@ -112,7 +118,6 @@ class TestPersistentWorkspace:
                 assert lp.objective == pytest.approx(objective, rel=1e-9, abs=1e-9)
                 for t, v in step.items():
                     assert lp.y[t - 1] == pytest.approx(v, abs=1e-9)
-        assert ws.cuts == tuple(cuts)
 
 
 class TestComputeIgap:

@@ -405,6 +405,26 @@ class TestOracleAgreement:
             solve("nope", e1)
 
 
+class TestSolveCutRounds:
+    """``BnbOptions.ls_rounds`` is the one knob for cut rounds, and it names the backend."""
+
+    @pytest.fixture
+    def inst(self):
+        # One round stops at 18 cuts, three or more find 24.
+        return generate_instance(desk_params(3, 100.0, T=20, seed=5), 0)
+
+    def test_lscuts_runs_the_rounds_opts_ask_for(self, inst):
+        one = solve("lscuts", inst, BnbOptions(ls_rounds=1)).stats
+        assert (one.cuts_added, one.cut_stop) == (18, "rounds")
+        default = solve("lscuts", inst).stats
+        assert (default.cuts_added, default.cut_stop) == (24, "no-cut")
+
+    @pytest.mark.parametrize("name,rounds", [("bnb", 3), ("lscuts", 0)])
+    def test_rounds_the_backend_cannot_run_are_rejected(self, inst, name, rounds):
+        with pytest.raises(ValidationError, match="ls_rounds"):
+            solve(name, inst, BnbOptions(ls_rounds=rounds))
+
+
 class TestCutFreeBranchAndBound:
     @settings(max_examples=150, deadline=None)
     @given(inst=edge_instances())
