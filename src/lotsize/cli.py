@@ -1,14 +1,16 @@
 """Command-line orchestration: gen, solve, train, predict, evaluate, report.
 
-Every command writes its outputs plus a run manifest into ``--out``; the
-manifest's ``command`` is the argument list ``main`` received. ``gen
---oracle`` and ``solve --solver`` take any name in ``solvers.SOLVERS``; a
-solver flag the chosen backend does not read is a usage error. A config file
-of ``key = value`` lines (``--config FILE``) pre-sets long flags of the
-chosen command: each line becomes ``--key=value`` ahead of the explicit
-flags, which therefore win, and a key the command does not define is a usage
-error. Exit codes: 0 success, 2 usage, 3 missing input or an output path
-that cannot be written, 4 format mismatch, 5 resource limits.
+Every command writes its outputs plus a run manifest into ``--out``, which
+it creates once its arguments and inputs are read and before any work, so an
+unwritable path fails fast; the manifest's ``command`` is the argument list
+``main`` received. ``gen --oracle`` and ``solve --solver`` take any name in
+``solvers.SOLVERS``; a solver flag the chosen backend does not read is a
+usage error. A config file of ``key = value`` lines (``--config FILE``)
+pre-sets long flags of the chosen command: each line becomes ``--key=value``
+ahead of the explicit flags, which therefore win, and a key the command does
+not define is a usage error. Exit codes: 0 success, 2 usage, 3 missing input
+or an output path that cannot be written, 4 format mismatch, 5 resource
+limits.
 """
 
 from __future__ import annotations
@@ -39,7 +41,14 @@ from .nn.lstm import BiLstmModel, predict_instance
 from .nn.model_io import load_model, save_model
 from .nn.standardize import instance_features, standardize_fit
 from .nn.train import TrainConfig, pairs_to_arrays, train
-from .pipeline import DEFAULT_LEVELS, MODE_HARD, MODES, PredictionVector, evaluate_instance
+from .pipeline import (
+    DEFAULT_LEVELS,
+    MODE_HARD,
+    MODES,
+    PredictionVector,
+    evaluate_instance,
+    validate_grid,
+)
 from .report import figure_csvs, render_markdown
 from .solvers import DEFAULT_ROUNDS, SOLVERS, BnbOptions, solve
 
@@ -135,6 +144,13 @@ def _read_split(args):
     return dataset, pairs
 
 
+def _out_dir(args) -> Path:
+    """Create ``--out`` before a command's work, so an unwritable path fails fast."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def cmd_gen(args, manifest: RunManifest) -> int:
     params = GenParams(
         c_ratio=args.c,
@@ -148,11 +164,11 @@ def cmd_gen(args, manifest: RunManifest) -> int:
         raise UsageError("--n must be at least 10")
     _check_solver(args.oracle, "--oracle")
     with _mapper(args.jobs) as map_fn:
+        out = _out_dir(args)
         dataset = generate_dataset(
             params, args.n, functools.partial(solve, args.oracle),
             oracle_name=args.oracle, map_fn=map_fn,
         )
-    out = Path(args.out)
     write_dataset(dataset, out)
     files = [out / "meta.json", out / "train.jsonl", out / "val.jsonl", out / "test.jsonl"]
     manifest.finish(out, [f for f in files if f.exists()])
@@ -170,13 +186,14 @@ def cmd_solve(args, manifest: RunManifest) -> int:
     _, split = _read_split(args)
     gap_tol = BnbOptions.gap_tol if args.gap_tol is None else args.gap_tol
     rounds = DEFAULT_ROUNDS if args.ls_rounds is None else args.ls_rounds
+    if args.solver == "lscuts" and rounds < 1:
+        raise UsageError("solver lscuts needs ls_rounds of at least 1")
     opts = BnbOptions(time_limit=args.time_limit, gap_tol=gap_tol,
                       ls_rounds=rounds if args.solver == "lscuts" else 0)
     solver = functools.partial(solve, args.solver, opts=opts)
     with _mapper(args.jobs) as map_fn:
+        out = _out_dir(args)
         solutions = list(map_fn(solver, [inst for inst, _ in split]))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "solutions.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("instance_id,status,objective,wall_time_s,nodes,lp_solves,cuts,cut_stop\n")
@@ -195,6 +212,7 @@ def cmd_train(args, manifest: RunManifest) -> int:
     dataset = read_dataset(args.dataset)
     if not dataset.train or not dataset.validation:
         raise UsageError("training requires non-empty train and validation splits")
+    out = _out_dir(args)
     standardizer = standardize_fit([instance_features(inst) for inst, _ in dataset.train])
     model = BiLstmModel.initialize(
         layer_count=args.layers,
@@ -213,8 +231,6 @@ def cmd_train(args, manifest: RunManifest) -> int:
     train_arrays = pairs_to_arrays(dataset.train, standardizer)
     val_arrays = pairs_to_arrays(dataset.validation, standardizer)
     result = train(model, train_arrays, val_arrays, config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model_path = out / "model.bin"
     save_model(result.model, model_path)
     history_path = out / "history.csv"
@@ -237,8 +253,7 @@ def cmd_predict(args, manifest: RunManifest) -> int:
     if args.model is not None and args.seed is not None:
         raise UsageError("predict --model does not read --seed")
     dataset, split = _read_split(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     if args.baseline == "logistic":
         seed = 0 if args.seed is None else args.seed
         manifest.seeds["seed"] = seed
@@ -263,8 +278,8 @@ def cmd_predict(args, manifest: RunManifest) -> int:
 
 
 def cmd_evaluate(args, manifest: RunManifest) -> int:
-    levels = _levels(args.levels)
     modes = [m.strip() for m in args.mode.split(",") if m.strip()]
+    levels = validate_grid(modes, _levels(args.levels))
     bnb_opts = BnbOptions(
         time_limit=args.time_limit, gap_tol=args.gap_tol, ls_rounds=args.ls_rounds
     )
@@ -273,14 +288,13 @@ def cmd_evaluate(args, manifest: RunManifest) -> int:
     # Rows without predict_s add nothing to time_ml_s; the manifest says how many.
     manifest.inputs["probability_rows_without_predict_s"] = untimed
     ids = split_ids(args.split, len(split))
+    out = _out_dir(args)
     records = []
     for iid, (inst, _) in zip(ids, split):
         if iid not in preds:
             raise UsageError(f"probability file lacks an entry for {iid}")
         # Plain and ML solves share one solver stack; the oracle's time is not used.
         records += evaluate_instance(inst, preds[iid], modes, levels, bnb_opts, iid)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "records.csv"
     write_records_csv(csv_path, records)
     manifest.finish(out, [csv_path])
@@ -290,8 +304,7 @@ def cmd_evaluate(args, manifest: RunManifest) -> int:
 
 def cmd_report(args, manifest: RunManifest) -> int:
     records = read_records_csv(args.records)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     report_path = out / "report.md"
     report_path.write_text(render_markdown(records), encoding="utf-8")
     files = [report_path]

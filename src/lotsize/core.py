@@ -9,7 +9,7 @@ inventory ``s`` and the binary setup indicator ``y``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -50,14 +50,31 @@ def _frozen_1d(name: str, values, dtype) -> np.ndarray:
     return arr
 
 
-def _frozen_int_1d(name: str, values) -> np.ndarray:
-    """``_frozen_1d`` for integer data; a fractional entry is an error, not truncated."""
+def _instance_vector(name: str, values, T: int, integer: bool) -> np.ndarray:
+    """``values`` as a read-only vector of ``T`` non-negative entries, in one pass.
+
+    Integer data (``d``, ``cap``) become int64 and a fractional or non-finite
+    entry is an error, not truncated; the costs become float64. A list or
+    tuple is converted once and its array kept; any other input is copied,
+    so the instance never shares memory with the caller.
+    """
     raw = np.asarray(values)
-    if raw.dtype.kind not in "iub":
+    if integer and raw.dtype.kind not in "iub":
         real = raw.astype(np.float64)
-        if not np.all(np.isfinite(real) & (real == np.floor(real))):
+        if not (np.isfinite(real) & (real == np.floor(real))).all():
             raise ValidationError(f"{name} must hold integers")
-    return _frozen_1d(name, raw, np.int64)
+    arr = raw.astype(np.int64 if integer else np.float64, copy=False)
+    if arr.ndim != 1:
+        raise DimensionError(f"{name} must be a one-dimensional vector")
+    if len(arr) != T:
+        raise DimensionError(f"{name} has length {len(arr)}, expected T={T}")
+    # fmin skips NaN, so a NaN entry neither hides a negative one nor counts as one.
+    if np.fmin.reduce(arr) < 0:
+        raise ValidationError(f"{name} must be non-negative")
+    if not isinstance(values, (list, tuple)):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -80,20 +97,15 @@ class Instance:
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "T", as_integer("horizon", self.T))
-        if self.T < 1:
+        T = as_integer("horizon", self.T)
+        if T < 1:
             raise ValidationError("horizon must be at least 1")
-        object.__setattr__(self, "d", _frozen_int_1d("d", self.d))
-        object.__setattr__(self, "p", _frozen_1d("p", self.p, np.float64))
-        object.__setattr__(self, "f", _frozen_1d("f", self.f, np.float64))
-        object.__setattr__(self, "h", _frozen_1d("h", self.h, np.float64))
-        object.__setattr__(self, "cap", _frozen_int_1d("cap", self.cap))
-        for name in ("d", "p", "f", "h", "cap"):
-            vec = getattr(self, name)
-            if len(vec) != self.T:
-                raise DimensionError(f"{name} has length {len(vec)}, expected T={self.T}")
-            if np.any(vec < 0):
-                raise ValidationError(f"{name} must be non-negative")
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "d", _instance_vector("d", self.d, T, True))
+        object.__setattr__(self, "p", _instance_vector("p", self.p, T, False))
+        object.__setattr__(self, "f", _instance_vector("f", self.f, T, False))
+        object.__setattr__(self, "h", _instance_vector("h", self.h, T, False))
+        object.__setattr__(self, "cap", _instance_vector("cap", self.cap, T, True))
         object.__setattr__(self, "s0", as_integer("initial inventory", self.s0))
         if self.s0 < 0:
             raise ValidationError("initial inventory must be non-negative")
@@ -182,8 +194,28 @@ class Solution:
         object.__setattr__(self, "s", _frozen_1d("s", self.s, np.float64))
         object.__setattr__(self, "y", _frozen_1d("y", self.y, np.int64))
 
-    def with_stats(self, stats: SolveStats) -> "Solution":
-        return replace(self, stats=stats)
+    @classmethod
+    def adopt(
+        cls, x: np.ndarray, s: np.ndarray, y: np.ndarray, objective: float, status: str,
+        stats: SolveStats | None = None,
+    ) -> "Solution":
+        """A solution over arrays that a solver has just made and hands over.
+
+        ``x`` and ``s`` must be float64 and ``y`` int64 vectors that nothing
+        else writes to; they are frozen in place, neither copied nor checked.
+        """
+        sol = cls.__new__(cls)
+        for name, arr in (("x", x), ("s", s), ("y", y)):
+            arr.setflags(write=False)
+            object.__setattr__(sol, name, arr)
+        object.__setattr__(sol, "objective", objective)
+        object.__setattr__(sol, "status", status)
+        object.__setattr__(sol, "stats", stats or SolveStats())
+        return sol
+
+    def with_stats(self, stats: SolveStats, status: str | None = None) -> "Solution":
+        """The same plan under new stats (and ``status``); the read-only arrays are shared."""
+        return Solution.adopt(self.x, self.s, self.y, self.objective, status or self.status, stats)
 
     def to_dict(self) -> dict:
         return {
@@ -196,10 +228,15 @@ class Solution:
 
     @classmethod
     def from_dict(cls, data: Mapping, status: str = STATUS_OPTIMAL) -> "Solution":
+        """Solution from its ``to_dict`` form; a ``y`` entry other than 0 or 1 raises."""
+        y = data["y"]
+        if not set(y) <= {0, 1}:
+            t, v = next((t, v) for t, v in enumerate(y, 1) if v not in (0, 1))
+            raise ValidationError(f"y must hold 0 or 1, got {v!r} in period {t}")
         return cls(
             x=data["x"],
             s=data["s"],
-            y=data["y"],
+            y=y,
             objective=float(data["objective"]),
             status=status,
             stats=SolveStats(wall_time_seconds=float(data.get("time", 0.0))),
@@ -207,13 +244,9 @@ class Solution:
 
 
 def infeasible_solution(T: int, stats: SolveStats | None = None) -> Solution:
-    return Solution(
-        x=np.zeros(T),
-        s=np.zeros(T),
-        y=np.zeros(T, dtype=np.int64),
-        objective=float("inf"),
-        status=STATUS_INFEASIBLE,
-        stats=stats or SolveStats(),
+    return Solution.adopt(
+        np.zeros(T), np.zeros(T), np.zeros(T, dtype=np.int64),
+        float("inf"), STATUS_INFEASIBLE, stats,
     )
 
 
@@ -226,8 +259,10 @@ class FixPlan:
     def __post_init__(self):
         clean = {}
         for t, v in dict(self.entries).items():
-            t = int(t)
-            v = int(v)
+            # Plain ints, as the evaluation grid builds them, skip the conversion.
+            if type(t) is not int or type(v) is not int:
+                t = as_integer("fix plan index", t)
+                v = as_integer(f"fix plan value for period {t}", v)
             if t < 1:
                 raise ValidationError(f"fix plan index {t} is not 1-based")
             if v not in (0, 1):
@@ -310,18 +345,26 @@ def check_solution(inst: Instance, sol: Solution, tol: float = FEAS_TOL) -> list
     return violations
 
 
-def flow_feasible(inst: Instance, plan: FixPlan) -> bool:
+def flow_feasible(inst: Instance, plan: FixPlan, need: list | None = None) -> bool:
     """Exact feasibility test for a partially fixed setup pattern.
 
     Feasible iff every cumulative demand prefix can be covered by the
     cumulative capacity of periods not fixed closed (inventory is unbounded,
-    so fixing a setup open never removes capacity).
+    so fixing a setup open never removes capacity). ``need`` is the
+    cumulative net demand ``cumsum(d) - s0`` as a list, when the caller
+    already holds it. Demands, capacities and ``s0`` are integers, so one
+    pass of exact sums over Python numbers decides it.
     """
     plan.validate_for(inst.T)
-    avail = inst.cap.astype(np.float64).copy()
+    if need is None:
+        need = (inst.d.cumsum() - inst.s0).tolist()
+    avail = inst.cap.tolist()
     for t, v in plan.entries.items():
-        if v == 0:
-            avail[t - 1] = 0.0
-    supply = inst.s0 + np.cumsum(avail)
-    need = np.cumsum(inst.d)
-    return bool(np.all(supply + FEAS_TOL >= need))
+        if not v:
+            avail[t - 1] = 0
+    supply = 0
+    for cap_t, need_t in zip(avail, need):
+        supply += cap_t
+        if supply < need_t:
+            return False
+    return True

@@ -15,6 +15,12 @@ modes are supported:
   hand its cost to branch and bound as the initial incumbent, and solve the
   unrestricted problem exactly.
 
+Plans are built on Python values: the prediction is checked with a few
+ndarray reductions, the confidence order is one stable argsort, and the
+plan's entries come from ``tolist()`` values, so ``FixPlan`` takes its
+plain-int path. Soft fix finds its dropped fixings in one running-deficit
+pass over the periods, with no flow test per drop.
+
 ``evaluate_instance`` is the evaluation entry point: it solves the plain
 problem once and every requested (mode, level) on that same solver stack.
 The per-mode ``solve_with_*`` functions take the caller's plain solve as
@@ -33,7 +39,6 @@ from .core import (
     FixPlan,
     Instance,
     Solution,
-    flow_feasible,
     _round_half_up,
 )
 from .errors import DimensionError, PartitionError, ValidationError
@@ -62,16 +67,17 @@ def validate_prediction(pred: PredictionVector, inst: Instance) -> None:
     probs = pred.probs
     if probs.shape != (inst.T,):
         raise DimensionError(f"prediction length {probs.shape} != horizon {inst.T}")
-    if not np.all(np.isfinite(probs)):
-        raise ValidationError("prediction contains non-finite entries")
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
+    # NaN fails both comparisons, so one test passes only finite entries in [0, 1].
+    if not (probs.min() >= 0.0 and probs.max() <= 1.0):
+        if not np.isfinite(probs).all():
+            raise ValidationError("prediction contains non-finite entries")
         raise ValidationError("prediction entries must lie in [0, 1]")
 
 
 def confidence_order(probs: np.ndarray) -> np.ndarray:
     """Period indices (0-based) by decreasing confidence, ties to earlier t."""
-    conf = np.maximum(probs, 1.0 - probs)
-    return np.lexsort((np.arange(len(probs)), -conf))
+    # A stable sort keeps equal confidences in period order.
+    return np.argsort(-np.maximum(probs, 1.0 - probs), kind="stable")
 
 
 def select_predictions(pred: PredictionVector, level_pct: float, inst: Instance) -> FixPlan:
@@ -80,9 +86,9 @@ def select_predictions(pred: PredictionVector, level_pct: float, inst: Instance)
     if not 0.0 <= level_pct <= 100.0:
         raise ValidationError("level must lie in [0, 100]")
     k = _round_half_up(level_pct * inst.T / 100.0)
-    order = confidence_order(pred.probs)
-    entries = {int(t) + 1: int(pred.probs[t] >= 0.5) for t in order[:k]}
-    return FixPlan(entries)
+    probs = pred.probs.tolist()
+    order = confidence_order(pred.probs)[:k].tolist()
+    return FixPlan({t + 1: int(probs[t] >= 0.5) for t in order})
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -158,16 +164,33 @@ def solve_with_hard_fix(
 
 
 def soft_fix_plan(inst: Instance, pred: PredictionVector) -> FixPlan:
-    """Full-level plan with closed-period fixings dropped until it is feasible."""
-    plan = select_predictions(pred, 100.0, inst)
-    conf = np.maximum(pred.probs, 1.0 - pred.probs)
-    entries = dict(plan.entries)
-    while not flow_feasible(inst, FixPlan(entries)):
-        zero_fixed = [t for t, v in entries.items() if v == 0]
-        if not zero_fixed:
-            break
-        drop = min(zero_fixed, key=lambda t: (conf[t - 1], -t))
-        del entries[drop]
+    """Full-level plan with closed-period fixings dropped until it is feasible.
+
+    Closed fixings are dropped least confident first (ties to the later
+    period) until the plan passes the flow test, or none is left. The drop
+    order does not depend on the plan, so one running-deficit pass over the
+    periods finds how many must go: whenever cumulative supply falls short
+    of cumulative demand, the next fixings in drop order are released, and
+    a released period's capacity counts from its own period on.
+    """
+    entries = dict(select_predictions(pred, 100.0, inst).entries)
+    probs = pred.probs.tolist()
+    closed = [t for t, v in entries.items() if v == 0]
+    drops = sorted(closed, key=lambda t: (max(probs[t - 1], 1.0 - probs[t - 1]), -t))
+    rank = {t: r for r, t in enumerate(drops)}
+    cap = inst.cap.tolist()
+    supply, need, released = inst.s0, 0, 0
+    for t, d_t in enumerate(inst.d.tolist(), 1):
+        need += d_t
+        if entries.get(t) != 0 or rank[t] < released:
+            supply += cap[t - 1]
+        while supply < need and released < len(drops):
+            freed = drops[released]
+            released += 1
+            if freed <= t:
+                supply += cap[freed - 1]
+    for t in drops[:released]:
+        del entries[t]
     return FixPlan(entries)
 
 
@@ -194,6 +217,18 @@ def solve_with_warm_start(
     return _solve_mode(inst, pred, MODE_WARM, 100.0, opts)
 
 
+def validate_grid(modes: list[str], levels: list[float]) -> list[float]:
+    """Check an evaluation grid; returns the levels as floats."""
+    levels = [float(lv) for lv in levels]
+    if not modes or any(m not in MODES for m in modes):
+        raise ValidationError(f"modes must be a non-empty list from {', '.join(MODES)}: {modes}")
+    if any(not 0.0 <= lv <= 100.0 for lv in levels):
+        raise ValidationError(f"levels must lie in [0, 100]: {levels}")
+    if MODE_HARD in modes and not levels:
+        raise ValidationError("hard mode needs at least one level")
+    return levels
+
+
 def evaluate_instance(
     inst: Instance, pred: PredictionVector, modes: list[str], levels: list[float],
     opts: BnbOptions | None = None, instance_id: str = "",
@@ -204,13 +239,7 @@ def evaluate_instance(
     level 100, in ``modes`` order; all share the plain solve's z* and time.
     Modes, levels and the prediction are checked before any solve.
     """
-    levels = [float(lv) for lv in levels]
-    if not modes or any(m not in MODES for m in modes):
-        raise ValidationError(f"modes must be a non-empty list from {', '.join(MODES)}: {modes}")
-    if any(not 0.0 <= lv <= 100.0 for lv in levels):
-        raise ValidationError(f"levels must lie in [0, 100]: {levels}")
-    if MODE_HARD in modes and not levels:
-        raise ValidationError("hard mode needs at least one level")
+    levels = validate_grid(modes, levels)
     validate_prediction(pred, inst)
     opts = opts or BnbOptions()
     plain = EvalOptions(

@@ -1,22 +1,25 @@
 """Branch and bound on the setup variables, with optional root cut rounds.
 
-The exact flow test runs first, and a plan that pins every setup is answered
-without a relaxation. The cut-free root is then solved in closed form by
-``PathRelaxation``, the production greedy of ``pattern.py``, and the root
-incumbent is built: the caller's ``incumbent_y`` if its pattern is feasible,
-else the rounding-and-repair heuristic on that root. An ``incumbent_y`` that
-is not a 0/1 vector of length T, or that breaks the plan, raises
-``ValidationError``: it would otherwise be returned as the restricted optimum.
+A restricted solve pays once for what it needs, in this order. The
+instance's ``PathData`` (``pattern.py``) is built first. The exact flow test
+runs on it, and a plan that pins every setup is answered by one
+fixed-pattern solve without a relaxation. The cut-free root is then solved
+in closed form by ``PathRelaxation``, the production greedy of
+``pattern.py``, and the root incumbent is built: the caller's
+``incumbent_y`` if its pattern is feasible, else the rounding-and-repair
+heuristic on that root. An ``incumbent_y`` that is not a 0/1 vector of
+length T, or that breaks the plan, raises ``ValidationError``: it would
+otherwise be returned as the restricted optimum.
 
 With ``BnbOptions.ls_rounds > 0`` one rule decides whether the root is cut.
 If the incumbent is within ``ROOT_GAP`` of the cut-free root, relative to
 the incumbent (``incumbent - root <= ROOT_GAP * |incumbent|``), the (l,S)
 loop is skipped: its rounds and its LP nodes, at about 0.3 ms each against
 about 0.04 ms for a closed-form node (T=20, shared 2-CPU machine), cost more
-than the bound they could still close. Otherwise ``ls_rounds`` rounds of (l,S) separation
-(``cuts.root_cut_loop``) tighten the root, starting from the closed-form
-point, so the cut-free LP is not solved again in HiGHS; the loop's last
-point is the root node, also when the loop found no cut. ``SolveStats``
+than the bound they could still close. Otherwise ``ls_rounds`` rounds of
+(l,S) separation (``cuts.root_cut_loop``) tighten the root, starting from
+the closed-form point, so the cut-free LP is not solved again in HiGHS; the
+loop's last point is the root node, also when the loop found no cut. ``SolveStats``
 records why the loop stopped (``cut_stop``). The plain solve and every
 restricted solve of an evaluation go through this same rule.
 
@@ -27,9 +30,12 @@ nodes are solved in closed form by ``PathRelaxation``. Search is
 best-bound first with deterministic FIFO tie-breaking, branching on the most
 fractional setup variable (ties to the earliest period). Integer candidates
 are re-evaluated exactly with the fixed-pattern solver so incumbent
-objectives carry no LP round-off. The root incumbent exists whenever the
-instance is feasible, so a time-limited run always returns its best solution
-so far; the limit covers the cut rounds.
+objectives carry no LP round-off. The relaxation, both incumbents and every
+integer candidate read the one ``PathData``, and the returned solution
+shares the incumbent's frozen arrays under its final status and stats
+(``Solution.with_stats``), so nothing is copied to stamp it. The root
+incumbent exists whenever the instance is feasible, so a time-limited run
+always returns its best solution so far; the limit covers the cut rounds.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from ..core import (
 from ..errors import ValidationError
 from .cuts import DEFAULT_ROUNDS, SEPARATION_TOL, root_cut_loop
 from .lp import LP_INFEASIBLE, LP_OPTIMAL, LpWorkspace
-from .pattern import PathRelaxation, solve_for_pattern
+from .pattern import PathData, PathRelaxation, solve_for_pattern
 
 INT_TOL = 1e-6
 # Root-gap screen: with cut rounds asked for, the cut loop is skipped when the
@@ -88,24 +94,25 @@ def repair_pattern(inst: Instance, open_flags, scores, allowed=None) -> np.ndarr
     prefix with the highest score (ties to the earliest period). ``allowed``
     masks periods that may be opened. Returns None when no repair exists.
     """
-    y = np.asarray(open_flags, dtype=np.int64).copy()
-    scores = np.asarray(scores, dtype=np.float64)
-    allowed = np.ones(inst.T, dtype=bool) if allowed is None else np.asarray(allowed, dtype=bool)
-    avail = np.where(y > 0, inst.cap.astype(np.float64), 0.0)
-    supply = float(inst.s0)
-    need = 0.0
-    for t in range(inst.T):
-        supply += avail[t]
-        need += float(inst.d[t])
+    y = np.asarray(open_flags, dtype=np.int64).tolist()
+    scores = np.asarray(scores, dtype=np.float64).tolist()
+    allowed = [True] * inst.T if allowed is None else np.asarray(allowed, dtype=bool).tolist()
+    cap = inst.cap.tolist()
+    supply = inst.s0
+    need = 0
+    # Integer data: the running sums are exact.
+    for t, d_t in enumerate(inst.d.tolist()):
+        if y[t] > 0:
+            supply += cap[t]
+        need += d_t
         while supply < need:
             closed = [u for u in range(t + 1) if y[u] == 0 and allowed[u]]
             if not closed:
                 return None
             pick = max(closed, key=lambda u: (scores[u], -u))
             y[pick] = 1
-            avail[pick] = float(inst.cap[pick])
-            supply += float(inst.cap[pick])
-    return y
+            supply += cap[pick]
+    return np.array(y, dtype=np.int64)
 
 
 def _check_incumbent(y, T: int, fixed: dict[int, int]) -> None:
@@ -121,7 +128,9 @@ def _check_incumbent(y, T: int, fixed: dict[int, int]) -> None:
             )
 
 
-def _root_incumbent(inst: Instance, fixed: dict[int, int], lp_y: np.ndarray) -> Solution | None:
+def _root_incumbent(
+    inst: Instance, fixed: dict[int, int], lp_y: np.ndarray, path: PathData
+) -> Solution | None:
     rounded = (lp_y >= 0.5).astype(np.int64)
     allowed = np.ones(inst.T, dtype=bool)
     for t, v in fixed.items():
@@ -130,7 +139,7 @@ def _root_incumbent(inst: Instance, fixed: dict[int, int], lp_y: np.ndarray) -> 
     pattern = repair_pattern(inst, rounded, lp_y, allowed)
     if pattern is None:
         return None
-    return solve_for_pattern(inst, pattern)
+    return solve_for_pattern(inst, pattern, path)
 
 
 def branch_and_bound(
@@ -159,19 +168,20 @@ def branch_and_bound(
             **kwargs,
         )
 
+    # Built once; the flow test, the relaxation and every pattern solve read it.
+    path = PathData(inst)
     # Cuts never change feasibility, so the flow test decides it for any rounds.
-    if not flow_feasible(inst, plan):
+    if not flow_feasible(inst, plan, path.need_list):
         return infeasible_solution(inst.T, stats())
 
     # Fast path: the plan pins every setup variable.
     if len(fixed) == inst.T:
-        pattern = np.array([fixed[t + 1] for t in range(inst.T)], dtype=np.int64)
-        sol = solve_for_pattern(inst, pattern)
+        sol = solve_for_pattern(inst, [fixed[t + 1] for t in range(inst.T)], path)
         if sol is None:
             return infeasible_solution(inst.T, stats())
         return sol.with_stats(stats(mip_gap=0.0))
 
-    relaxation = PathRelaxation(inst)
+    relaxation = PathRelaxation(inst, path)
     root = relaxation.solve(fixed)
     lp_solves = nodes_explored = 1
     if root.status == LP_INFEASIBLE:
@@ -179,9 +189,9 @@ def branch_and_bound(
 
     incumbent: Solution | None = None
     if opts.incumbent_y is not None:
-        incumbent = solve_for_pattern(inst, opts.incumbent_y)
+        incumbent = solve_for_pattern(inst, opts.incumbent_y, path)
     if incumbent is None:
-        incumbent = _root_incumbent(inst, fixed, root.y)
+        incumbent = _root_incumbent(inst, fixed, root.y, path)
 
     if opts.ls_rounds > 0:
         if incumbent is not None and (
@@ -226,7 +236,7 @@ def branch_and_bound(
             pattern = np.round(lp_sol.y).astype(np.int64)
             for t, v in node_fixed.items():
                 pattern[t - 1] = v
-            cand = solve_for_pattern(inst, pattern)
+            cand = solve_for_pattern(inst, pattern, path)
             if cand is not None and cand.objective < upper():
                 incumbent = cand
                 cutoff = prune_bound(cand.objective)
@@ -261,14 +271,14 @@ def branch_and_bound(
         base = infeasible_solution(inst.T, stats())
         if status == STATUS_TIME_LIMIT:
             # Feasibility was never disproved; only the budget ran out.
-            return replace(base, status=STATUS_TIME_LIMIT)
+            return base.with_stats(base.stats, STATUS_TIME_LIMIT)
         return base
     if status == STATUS_OPTIMAL:
         gap = 0.0
     else:
         u = upper()
         gap = max(0.0, (u - lower) / max(abs(u), 1e-12))
-    return replace(incumbent, status=status, stats=stats(mip_gap=gap))
+    return incumbent.with_stats(stats(mip_gap=gap), status)
 
 
 def solve_with_ls_cuts(

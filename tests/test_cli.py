@@ -269,6 +269,27 @@ def test_bad_evaluate_input_is_usage_error(flags, dataset_dir, lr_probs, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,work", [
+    ("gen", "generate_dataset"), ("solve", "solve"), ("train", "train"),
+    ("evaluate", "evaluate_instance"),
+])
+def test_unwritable_out_fails_before_any_work(command, work, dataset_dir, lr_probs, tmp_path,
+                                              monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        pytest.fail(f"{command} did its work before creating --out")
+
+    monkeypatch.setattr(f"lotsize.cli.{work}", must_not_run)
+    (tmp_path / "afile").write_text("")
+    flags = {
+        "gen": ["--c", 3, "--f", 100, "--T", 8, "--n", 10, "--demand-range", "1,20"],
+        "solve": ["--dataset", dataset_dir, "--solver", "dp"],
+        "train": ["--dataset", dataset_dir, "--epochs", 1],
+        "evaluate": ["--dataset", dataset_dir, "--probs", lr_probs],
+    }[command]
+    assert run(command, *flags, "--out", tmp_path / "afile" / "x") == 3
+    assert "io error" in capsys.readouterr().err
+
+
 def test_empty_levels_are_fine_without_hard_mode(dataset_dir, lr_probs, tmp_path):
     out = tmp_path / "eval"
     assert run("evaluate", "--dataset", dataset_dir, "--probs", lr_probs, "--mode", "soft",
@@ -462,6 +483,8 @@ def _corrupt(kind: str, dataset_dir: Path, tmp: Path) -> list:
             row = json.loads(lines[1])
             if kind == "dataset-fractional-horizon":
                 row["instance"]["T"] += 0.5
+            elif kind == "dataset-fractional-label":
+                row["solution"]["y"][0] = 0.5
             else:
                 row["instance"]["d"][0] += 0.5
             lines[1] = json.dumps(row) + "\n"
@@ -479,7 +502,7 @@ def _corrupt(kind: str, dataset_dir: Path, tmp: Path) -> list:
 @pytest.mark.parametrize("kind", [
     "probs-truncated", "probs-string", "probs-missing", "probs-repeated-id",
     "dataset-truncated", "dataset-fractional-demand", "dataset-fractional-horizon",
-    "records-truncated", "records-z-star",
+    "dataset-fractional-label", "records-truncated", "records-z-star",
 ])
 def test_malformed_input_file_is_usage_error(kind, dataset_dir, tmp_path):
     argv = _corrupt(kind, dataset_dir, tmp_path)

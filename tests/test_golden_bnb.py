@@ -1,4 +1,9 @@
-"""Golden branch-and-bound trees: the search must repeat node for node."""
+"""Golden branch-and-bound trees: the search must repeat node for node.
+
+Run as a script (``PYTHONPATH=src python tests/test_golden_bnb.py``) to
+rewrite ``golden_bnb_trees.json`` from ``golden_bnb_trees``. Do that only
+for a change that is meant to alter trees, and say which ones.
+"""
 
 import json
 from pathlib import Path
@@ -69,3 +74,8 @@ def test_golden_bnb_trees_are_reproduced():
     assert len(cases) == len(golden)
     for got, want in zip(cases, golden):
         assert got == want
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text("[\n" + ",\n".join(map(json.dumps, golden_bnb_trees())) + "\n]\n")
+    print(f"wrote {GOLDEN}")

@@ -21,7 +21,7 @@ from lotsize.pipeline import (
 )
 from lotsize.solvers import BnbOptions, branch_and_bound, brute_force, solve_for_pattern
 
-from conftest import generated_instances
+from conftest import edge_instances, generated_instances
 
 
 def pred(probs):
@@ -128,6 +128,26 @@ class TestSoftFix:
     def test_optimal_prediction(self, e1):
         [record] = evaluate_instance(e1, pred([0.9, 0.8, 0.1]), ["soft"], [])
         assert record.optgap_pct == pytest.approx(0.0, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(inst=edge_instances(), data=st.data())
+    def test_matches_the_drop_loop(self, inst, data):
+        """The running-deficit pass gives the plan of dropping the least
+        confident closed fixing, one at a time, until the flow test passes."""
+        # Few distinct values, so equal confidences and ties occur.
+        probs = data.draw(st.lists(
+            st.sampled_from([0.0, 0.1, 0.2, 0.4, 0.5, 0.6, 0.8, 0.9, 1.0]),
+            min_size=inst.T, max_size=inst.T,
+        ))
+        conf = [max(p, 1.0 - p) for p in probs]
+        entries = dict(select_predictions(pred(probs), 100.0, inst).entries)
+        while not flow_feasible(inst, FixPlan(entries)):
+            closed = [t for t, v in entries.items() if v == 0]
+            if not closed:
+                break
+            del entries[min(closed, key=lambda t: (conf[t - 1], -t))]
+        plan = soft_fix_plan(inst, pred(probs))
+        assert list(plan.entries.items()) == list(entries.items())
 
     def test_never_infeasible_on_generated(self):
         for inst in generated_instances(10, seed=51, T=8):
