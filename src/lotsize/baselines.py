@@ -15,7 +15,6 @@ from scipy.special import expit
 from .core import Instance, Solution
 from .errors import DivergenceError, ValidationError
 from .nn.standardize import Standardizer, instance_features, standardize_fit
-from .nn.train import bce_loss
 
 FEATURE_RECIPE = "period-v1"
 
@@ -52,12 +51,6 @@ def period_features(inst: Instance, standardizer: Standardizer) -> np.ndarray:
     return np.hstack([z, position, mean_d, mean_cap, cum_ratio])
 
 
-def _design(pairs: list[tuple[Instance, Solution]], standardizer: Standardizer):
-    X = np.vstack([period_features(inst, standardizer) for inst, _ in pairs])
-    y = np.concatenate([sol.y for _, sol in pairs]).astype(np.float64)
-    return X, y
-
-
 def logistic_fit(
     train_pairs: list[tuple[Instance, Solution]],
     config: LogisticConfig | None = None,
@@ -70,7 +63,8 @@ def logistic_fit(
     config = config or LogisticConfig()
     if standardizer is None:
         standardizer = standardize_fit([instance_features(inst) for inst, _ in train_pairs])
-    X, y = _design(train_pairs, standardizer)
+    X = np.vstack([period_features(inst, standardizer) for inst, _ in train_pairs])
+    y = np.concatenate([sol.y for _, sol in train_pairs]).astype(np.float64)
     n = len(y)
     rng = np.random.default_rng(config.seed)
     w = (
@@ -90,12 +84,6 @@ def logistic_fit(
         if not np.all(np.isfinite(w)) or not np.isfinite(b):
             raise DivergenceError(f"logistic fit diverged at epoch {epoch}")
     return LogisticModel(weights=w, bias=b, standardizer=standardizer)
-
-
-def logistic_loss(model: LogisticModel, pairs, l2: float = 0.0) -> float:
-    X, y = _design(pairs, model.standardizer)
-    nll = bce_loss(y, expit(X @ model.weights + model.bias))
-    return nll + 0.5 * l2 * float(model.weights @ model.weights)
 
 
 def logistic_predict(model: LogisticModel, inst: Instance) -> np.ndarray:

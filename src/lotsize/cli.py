@@ -46,8 +46,10 @@ from .pipeline import (
     MODE_HARD,
     MODES,
     PredictionVector,
+    concat_predictions,
     evaluate_instance,
     validate_grid,
+    validate_prediction,
 )
 from .report import figure_csvs, render_markdown
 from .solvers import DEFAULT_ROUNDS, SOLVERS, BnbOptions, solve
@@ -252,7 +254,21 @@ def cmd_predict(args, manifest: RunManifest) -> int:
         raise UsageError("predict takes exactly one of --model FILE and --baseline logistic")
     if args.model is not None and args.seed is not None:
         raise UsageError("predict --model does not read --seed")
+    if args.baseline is not None and args.chunk_T is not None:
+        raise UsageError("predict --baseline logistic does not read --chunk-T")
     dataset, split = _read_split(args)
+    if args.model is not None:
+        model = load_model(args.model)
+        predict_one = functools.partial(predict_instance, model)
+        source = f"bilstm-L{model.layer_count}W{model.width}"
+    chunk = args.chunk_T
+    if chunk is not None:
+        bad = sorted({inst.T for inst, _ in split if chunk < 1 or inst.T % chunk})
+        if bad:
+            raise UsageError(f"--chunk-T {chunk} does not divide horizon {bad[0]} "
+                             f"of split {args.split!r}")
+        predict_one = lambda inst: concat_predictions(model, inst, chunk).probs
+        source = f"bilstm-chunked-{chunk}"
     out = _out_dir(args)
     if args.baseline == "logistic":
         seed = 0 if args.seed is None else args.seed
@@ -260,11 +276,8 @@ def cmd_predict(args, manifest: RunManifest) -> int:
         model = logistic_fit(dataset.train, LogisticConfig(seed=seed))
         predict_one = functools.partial(logistic_predict, model)
         source = "logistic"
-    else:
-        model = load_model(args.model)
-        predict_one = functools.partial(predict_instance, model)
-        source = f"bilstm-L{model.layer_count}W{model.width}"
-    # Each row carries its own forward-pass time, the prediction share of timeML.
+    # Each row carries its own prediction time (a chunked row its whole chunk
+    # loop), the prediction share of timeML.
     preds = []
     for inst, _ in split:
         t0 = time.perf_counter()
@@ -288,11 +301,14 @@ def cmd_evaluate(args, manifest: RunManifest) -> int:
     # Rows without predict_s add nothing to time_ml_s; the manifest says how many.
     manifest.inputs["probability_rows_without_predict_s"] = untimed
     ids = split_ids(args.split, len(split))
-    out = _out_dir(args)
-    records = []
+    # Every row is checked before --out exists and before the first solve.
     for iid, (inst, _) in zip(ids, split):
         if iid not in preds:
             raise UsageError(f"probability file lacks an entry for {iid}")
+        validate_prediction(preds[iid], inst)
+    out = _out_dir(args)
+    records = []
+    for iid, (inst, _) in zip(ids, split):
         # Plain and ML solves share one solver stack; the oracle's time is not used.
         records += evaluate_instance(inst, preds[iid], modes, levels, bnb_opts, iid)
     csv_path = out / "records.csv"
@@ -368,6 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", choices=("logistic",), help="fit this baseline on the fly")
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
     p.add_argument("--seed", type=int, default=None, help="logistic (default 0)")
+    p.add_argument("--chunk-T", type=int, default=None,
+                   help="--model: predict in chunks of this many periods")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 

@@ -7,7 +7,6 @@ from .lstm import (
 )
 from .model_io import FORMAT_VERSION, load_model, save_model
 from .standardize import (
-    FEATURE_COLUMNS,
     Standardizer,
     instance_features,
     standardize_fit,
@@ -30,7 +29,6 @@ __all__ = [
     "AdamState",
     "BiLstmModel",
     "EpochStats",
-    "FEATURE_COLUMNS",
     "FORMAT_VERSION",
     "Standardizer",
     "TrainConfig",

@@ -10,8 +10,6 @@ import numpy as np
 from ..core import Instance
 from ..errors import ValidationError
 
-# Column order of the per-period feature matrix.
-FEATURE_COLUMNS = ("p", "f", "cap", "d")
 STD_FLOOR = 1e-8
 
 

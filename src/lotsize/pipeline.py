@@ -218,10 +218,16 @@ def solve_with_warm_start(
 
 
 def validate_grid(modes: list[str], levels: list[float]) -> list[float]:
-    """Check an evaluation grid; returns the levels as floats."""
+    """Check an evaluation grid; returns the levels as floats.
+
+    A repeated mode or level (``50`` and ``50.0`` are one level) would
+    count its records twice in every aggregate, so it is rejected.
+    """
     levels = [float(lv) for lv in levels]
     if not modes or any(m not in MODES for m in modes):
         raise ValidationError(f"modes must be a non-empty list from {', '.join(MODES)}: {modes}")
+    if len(set(modes)) < len(modes) or len(set(levels)) < len(levels):
+        raise ValidationError(f"modes and levels must not repeat: {modes}, {levels}")
     if any(not 0.0 <= lv <= 100.0 for lv in levels):
         raise ValidationError(f"levels must lie in [0, 100]: {levels}")
     if MODE_HARD in modes and not levels:

@@ -14,7 +14,9 @@ import scipy
 
 import lotsize
 from lotsize.cli import EXIT_USAGE, main
-from lotsize.nn.model_io import MAGIC
+from lotsize.dataio import read_dataset
+from lotsize.nn.model_io import MAGIC, load_model
+from lotsize.pipeline import concat_predictions
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # A weight-file header that lacks the model width.
@@ -250,7 +252,7 @@ def lr_probs(dataset_dir, tmp_path_factory) -> Path:
 
 # Each of these wrote a records.csv and exited 0: header only for an empty
 # mode or level list, TimeLimit rows for a negative limit, unpruned search for
-# a NaN gap tolerance.
+# a NaN gap tolerance, each record twice for a repeated mode or level.
 @pytest.mark.parametrize("flags", [
     ("--mode", ","),
     ("--mode", "hard", "--levels", ""),
@@ -259,8 +261,10 @@ def lr_probs(dataset_dir, tmp_path_factory) -> Path:
     ("--time-limit", "nan"),
     ("--gap-tol", "nan"),
     ("--gap-tol", -0.5),
+    ("--mode", "hard,hard"),
+    ("--levels", "50,50.0"),
 ], ids=["mode-empty", "levels-empty", "levels-comma", "time-limit-neg", "time-limit-nan",
-        "gap-tol-nan", "gap-tol-neg"])
+        "gap-tol-nan", "gap-tol-neg", "mode-repeated", "levels-repeated"])
 def test_bad_evaluate_input_is_usage_error(flags, dataset_dir, lr_probs, tmp_path, capsys):
     out = tmp_path / "eval"
     assert run("evaluate", "--dataset", dataset_dir, "--probs", lr_probs, *flags,
@@ -288,6 +292,25 @@ def test_unwritable_out_fails_before_any_work(command, work, dataset_dir, lr_pro
     }[command]
     assert run(command, *flags, "--out", tmp_path / "afile" / "x") == 3
     assert "io error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("last_row", [None, [0.5] * 7, [0.5] * 7 + [1.5]],
+                         ids=["missing", "short", "out-of-range"])
+def test_bad_probability_row_fails_before_any_solve(last_row, dataset_dir, lr_probs, tmp_path,
+                                                    monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        pytest.fail("evaluate solved an instance before checking every row")
+
+    monkeypatch.setattr("lotsize.cli.evaluate_instance", must_not_run)
+    rows = [json.loads(l) for l in open(lr_probs)]
+    rows = rows[:-1] + ([] if last_row is None else [{**rows[-1], "probs": last_row}])
+    probs = tmp_path / "probs.jsonl"
+    probs.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    out = tmp_path / "eval"
+    assert run("evaluate", "--dataset", dataset_dir, "--probs", probs,
+               "--out", out) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_empty_levels_are_fine_without_hard_mode(dataset_dir, lr_probs, tmp_path):
@@ -439,6 +462,12 @@ class TestTrainPredictEvaluateReport:
                         + bytes(raw[len(MAGIC) + 8 + header_len :]))
         assert run("predict", "--dataset", dataset_dir, "--model", bad,
                    "--out", tmp_path / "y") == 4
+        assert not (tmp_path / "y").exists()
+
+    def test_missing_model_is_format_error(self, dataset_dir, tmp_path):
+        assert run("predict", "--dataset", dataset_dir, "--model", tmp_path / "absent.bin",
+                   "--out", tmp_path / "y") == 4
+        assert not (tmp_path / "y").exists()
 
     @pytest.mark.parametrize("raw", [
         MAGIC + b"\x01\x02",
@@ -454,6 +483,7 @@ class TestTrainPredictEvaluateReport:
         )
         assert proc.returncode == 4, proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "y").exists()
 
 
 RECORD_ROW = "test-000000,3,100.0,8,hard,50.0,Optimal,{z},17.0,0.01,0.005,4,0.0\n"
@@ -572,13 +602,41 @@ def test_scripts_print_help():
         assert proc.returncode == 0, f"{script.name}: {proc.stderr}"
 
 
-def test_horizon_script_evaluates_chunked_predictions(model_dir):
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "horizon_generalization.py"),
-         "--model", str(model_dir / "model.bin"), "--chunk-T", "8", "--T", "16",
-         "--n", "3", "--levels", "50"],
-        capture_output=True, text=True, env=subprocess_env(), timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    # A title line, the table header, then one row per level.
-    assert [row.split()[0] for row in proc.stdout.splitlines()[2:]] == ["50"]
+def test_chunked_predict_evaluate_report(model_dir, tmp_path):
+    # A T=8 model predicts T=16 instances in two chunks; evaluate and report
+    # read its rows as they read any other source's.
+    ds = tmp_path / "ds16"
+    assert run("gen", "--c", 3, "--f", 100, "--T", 16, "--n", 10, "--seed", 3,
+               "--demand-range", "1,40", "--out", ds) == 0
+    assert run("predict", "--dataset", ds, "--model", model_dir / "model.bin",
+               "--chunk-T", 8, "--out", tmp_path / "p") == 0
+    rows = [json.loads(l) for l in open(tmp_path / "p" / "probs.jsonl")]
+    model = load_model(model_dir / "model.bin")
+    split = read_dataset(ds).test
+    assert len(rows) == len(split) >= 2
+    for row, (inst, _) in zip(rows, split):
+        assert row["source"] == "bilstm-chunked-8" and row["predict_s"] > 0
+        assert np.array_equal(row["probs"], concat_predictions(model, inst, 8).probs)
+    manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
+    assert manifest["config"]["chunk_T"] == 8
+
+    assert run("evaluate", "--dataset", ds, "--probs", tmp_path / "p" / "probs.jsonl",
+               "--levels", "25,50", "--out", tmp_path / "e") == 0
+    assert run("report", "--records", tmp_path / "e" / "records.csv",
+               "--out", tmp_path / "r") == 0
+    table = (tmp_path / "r" / "fig_levels_hard.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in table[1:]] == ["25", "50"]
+
+
+# Each of these was caught only at the first instance, after --out existed.
+@pytest.mark.parametrize("flags,message", [
+    (("--baseline", "logistic", "--chunk-T", 8), "--chunk-T"),
+    (("--model", "MODEL", "--chunk-T", 0), "horizon 8"),
+    (("--model", "MODEL", "--chunk-T", 3), "horizon 8"),
+], ids=["logistic", "zero", "not-a-divisor"])
+def test_bad_chunk_is_usage_error(flags, message, dataset_dir, model_dir, tmp_path, capsys):
+    flags = [model_dir / "model.bin" if f == "MODEL" else f for f in flags]
+    out = tmp_path / "p"
+    assert run("predict", "--dataset", dataset_dir, *flags, "--out", out) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
