@@ -1,16 +1,17 @@
 """Command-line orchestration: gen, solve, train, predict, evaluate, report.
 
-Every command writes its outputs plus a run manifest into ``--out``, which
-it creates once its arguments and inputs are read and before any work, so an
-unwritable path fails fast; the manifest's ``command`` is the argument list
-``main`` received. ``gen --oracle`` and ``solve --solver`` take any name in
-``solvers.SOLVERS``; a solver flag the chosen backend does not read is a
-usage error. A config file of ``key = value`` lines (``--config FILE``)
-pre-sets long flags of the chosen command: each line becomes ``--key=value``
-ahead of the explicit flags, which therefore win, and a key the command does
-not define is a usage error. Exit codes: 0 success, 2 usage, 3 missing input
-or an output path that cannot be written, 4 format mismatch, 5 resource
-limits.
+Each ``cmd_*`` is a generator that checks its arguments and inputs up to
+``out = yield``; ``main``, the one place that creates ``--out``, then sends
+it in for the work, which writes the outputs and a run manifest whose
+``command`` is ``main``'s argument list. ``gen --oracle`` and ``solve
+--solver`` take any name in ``solvers.SOLVERS``; a solver flag the chosen
+backend does not read is a usage error. A config file of ``key = value``
+lines (``--config FILE``) pre-sets long flags of the chosen command: each
+line becomes ``--key=value`` ahead of the explicit flags, which therefore
+win, and a key the command does not define is a usage error. Exit codes: 0
+success, 2 usage, 3 missing input or an output path that cannot be written, 4
+format mismatch, 5 resource limits. Exits 2, 3 and 4 leave no ``--out``; a
+resource limit hit during the work can leave a partial one.
 """
 
 from __future__ import annotations
@@ -112,8 +113,6 @@ def _levels(text: str) -> list[float]:
 @contextlib.contextmanager
 def _mapper(jobs: int):
     """The builtin ``map`` for one job, else a process pool's, shut down on exit."""
-    if jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {jobs}")
     if jobs == 1:
         yield map
     else:
@@ -146,14 +145,7 @@ def _read_split(args):
     return dataset, pairs
 
 
-def _out_dir(args) -> Path:
-    """Create ``--out`` before a command's work, so an unwritable path fails fast."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_gen(args, manifest: RunManifest) -> int:
+def cmd_gen(args, manifest: RunManifest):
     params = GenParams(
         c_ratio=args.c,
         f_ratio=args.f,
@@ -165,8 +157,10 @@ def cmd_gen(args, manifest: RunManifest) -> int:
     if args.n < 10:
         raise UsageError("--n must be at least 10")
     _check_solver(args.oracle, "--oracle")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    out = yield
     with _mapper(args.jobs) as map_fn:
-        out = _out_dir(args)
         dataset = generate_dataset(
             params, args.n, functools.partial(solve, args.oracle),
             oracle_name=args.oracle, map_fn=map_fn,
@@ -179,7 +173,7 @@ def cmd_gen(args, manifest: RunManifest) -> int:
     return 0
 
 
-def cmd_solve(args, manifest: RunManifest) -> int:
+def cmd_solve(args, manifest: RunManifest):
     _check_solver(args.solver, "--solver")
     reads = {"bnb": ("time_limit", "gap_tol"), "lscuts": ("time_limit", "gap_tol", "ls_rounds")}
     for name in ("time_limit", "gap_tol", "ls_rounds"):
@@ -193,8 +187,10 @@ def cmd_solve(args, manifest: RunManifest) -> int:
     opts = BnbOptions(time_limit=args.time_limit, gap_tol=gap_tol,
                       ls_rounds=rounds if args.solver == "lscuts" else 0)
     solver = functools.partial(solve, args.solver, opts=opts)
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    out = yield
     with _mapper(args.jobs) as map_fn:
-        out = _out_dir(args)
         solutions = list(map_fn(solver, [inst for inst, _ in split]))
     csv_path = out / "solutions.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
@@ -210,11 +206,10 @@ def cmd_solve(args, manifest: RunManifest) -> int:
     return 0
 
 
-def cmd_train(args, manifest: RunManifest) -> int:
+def cmd_train(args, manifest: RunManifest):
     dataset = read_dataset(args.dataset)
     if not dataset.train or not dataset.validation:
         raise UsageError("training requires non-empty train and validation splits")
-    out = _out_dir(args)
     standardizer = standardize_fit([instance_features(inst) for inst, _ in dataset.train])
     model = BiLstmModel.initialize(
         layer_count=args.layers,
@@ -230,6 +225,7 @@ def cmd_train(args, manifest: RunManifest) -> int:
         early_stop_patience=args.patience,
         seed=args.seed,
     )
+    out = yield
     train_arrays = pairs_to_arrays(dataset.train, standardizer)
     val_arrays = pairs_to_arrays(dataset.validation, standardizer)
     result = train(model, train_arrays, val_arrays, config)
@@ -249,7 +245,7 @@ def cmd_train(args, manifest: RunManifest) -> int:
     return 0
 
 
-def cmd_predict(args, manifest: RunManifest) -> int:
+def cmd_predict(args, manifest: RunManifest):
     if (args.model is None) == (args.baseline is None):
         raise UsageError("predict takes exactly one of --model FILE and --baseline logistic")
     if args.model is not None and args.seed is not None:
@@ -269,7 +265,7 @@ def cmd_predict(args, manifest: RunManifest) -> int:
                              f"of split {args.split!r}")
         predict_one = lambda inst: concat_predictions(model, inst, chunk).probs
         source = f"bilstm-chunked-{chunk}"
-    out = _out_dir(args)
+    out = yield
     if args.baseline == "logistic":
         seed = 0 if args.seed is None else args.seed
         manifest.seeds["seed"] = seed
@@ -290,7 +286,7 @@ def cmd_predict(args, manifest: RunManifest) -> int:
     return 0
 
 
-def cmd_evaluate(args, manifest: RunManifest) -> int:
+def cmd_evaluate(args, manifest: RunManifest):
     modes = [m.strip() for m in args.mode.split(",") if m.strip()]
     levels = validate_grid(modes, _levels(args.levels))
     bnb_opts = BnbOptions(
@@ -306,7 +302,7 @@ def cmd_evaluate(args, manifest: RunManifest) -> int:
         if iid not in preds:
             raise UsageError(f"probability file lacks an entry for {iid}")
         validate_prediction(preds[iid], inst)
-    out = _out_dir(args)
+    out = yield
     records = []
     for iid, (inst, _) in zip(ids, split):
         # Plain and ML solves share one solver stack; the oracle's time is not used.
@@ -318,9 +314,9 @@ def cmd_evaluate(args, manifest: RunManifest) -> int:
     return 0
 
 
-def cmd_report(args, manifest: RunManifest) -> int:
+def cmd_report(args, manifest: RunManifest):
     records = read_records_csv(args.records)
-    out = _out_dir(args)
+    out = yield
     report_path = out / "report.md"
     report_path.write_text(render_markdown(records), encoding="utf-8")
     files = [report_path]
@@ -426,7 +422,13 @@ def main(argv: list[str] | None = None) -> int:
             seeds={"seed": args.seed} if "seed" in vars(args) else {},
             tool_version=__version__,
         )
-        return args.func(args, manifest)
+        work = args.func(args, manifest)
+        next(work)  # every check runs before --out exists
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        work.send(Path(args.out))
+        raise RuntimeError(f"{args.command} yields more than once")
+    except StopIteration as done:
+        return done.value
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import typing
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
@@ -36,6 +37,16 @@ RECORD_COLUMNS = [
     "k_fixed",
     "optgap_pct",
 ]
+
+
+def _cell_parser(hint):
+    """The parser of one records column: a ``T | None`` field reads '' as None."""
+    kinds = [t for t in typing.get_args(hint) if t is not type(None)]
+    return (lambda cell: kinds[0](cell) if cell else None) if kinds else hint
+
+
+# Column -> parser, from EvalRecord's own field annotations.
+_RECORD_PARSERS = {col: _cell_parser(t) for col, t in typing.get_type_hints(EvalRecord).items()}
 
 
 def _dump(obj) -> str:
@@ -184,27 +195,12 @@ def read_records_csv(path: str | Path) -> list[EvalRecord]:
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(RECORD_COLUMNS) - set(reader.fieldnames):
-            raise UsageError(f"records file {path} does not carry the expected columns")
+        missing = [col for col in RECORD_COLUMNS if col not in (reader.fieldnames or ())]
+        if missing:
+            raise UsageError(f"records file {path} lacks the columns {missing}")
         for row in reader:
             with _entry(path, reader.line_num):
-                records.append(
-                    EvalRecord(
-                        instance_id=row["instance_id"],
-                        mode=row["mode"],
-                        level_pct=float(row["level_pct"]),
-                        status=row["status"],
-                        z_star=float(row["z_star"]) if row["z_star"] else None,
-                        z_tilde=float(row["z_tilde"]) if row["z_tilde"] else None,
-                        time_plain_s=float(row["time_plain_s"]),
-                        time_ml_s=float(row["time_ml_s"]),
-                        k_fixed=int(row["k_fixed"]),
-                        optgap_pct=float(row["optgap_pct"]) if row["optgap_pct"] else None,
-                        c_ratio=float(row["c_ratio"]) if row["c_ratio"] else None,
-                        f_ratio=float(row["f_ratio"]) if row["f_ratio"] else None,
-                        T=int(row["T"]) if row["T"] else None,
-                    )
-                )
+                records.append(EvalRecord(**{c: p(row[c]) for c, p in _RECORD_PARSERS.items()}))
     if not records:
         raise ValidationError(f"records file {path} is empty")
     return records

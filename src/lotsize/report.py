@@ -36,7 +36,7 @@ def render_markdown(records: list[EvalRecord]) -> str:
         lines.append(f"## Mode: {mode}")
         lines.append("")
         lines.append(
-            "| level(%) | n | timeCPX(s) | timeML(s) | timeimp | timegain(%) | inf(%) | optgap(%) |"
+            "| level(%) | n | time_plain(s) | timeML(s) | timeimp | timegain(%) | inf(%) | optgap(%) |"
         )
         lines.append("|---:|---:|---:|---:|---:|---:|---:|---:|")
         for rep in sorted(by_mode[mode], key=lambda r: r.level_pct):

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import inspect
 import json
 import os
 import platform
@@ -13,7 +15,7 @@ import pytest
 import scipy
 
 import lotsize
-from lotsize.cli import EXIT_USAGE, main
+from lotsize.cli import EXIT_USAGE, build_parser, main
 from lotsize.dataio import read_dataset
 from lotsize.nn.model_io import MAGIC, load_model
 from lotsize.pipeline import concat_predictions
@@ -230,6 +232,14 @@ def test_ignored_flag_is_usage_error(argv, flag, dataset_dir, tmp_path, capsys):
         argv = argv[:-1] + [cfg]
     assert run(*argv, "--dataset", dataset_dir, "--out", tmp_path / "o") == EXIT_USAGE
     assert flag in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_every_command_checks_before_main_creates_out():
+    # A command checks its inputs up to ``out = yield``; main creates --out.
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        assert inspect.isgeneratorfunction(parser.get_default("func")), name
 
 
 @pytest.fixture(scope="module")
@@ -441,10 +451,14 @@ class TestTrainPredictEvaluateReport:
 
     # One epoch: a NaN step would only surface as divergence at the second.
     @pytest.mark.parametrize("flags", [("--epochs", 0), ("--lr", "nan", "--epochs", 1),
-                                       ("--patience", 0, "--epochs", 1)],
-                             ids=["epochs0", "lr-nan", "patience0"])
+                                       ("--patience", 0, "--epochs", 1), ("--units", 0),
+                                       ("--layers", 0), ("--dropout", 1.0),
+                                       ("--batch-size", 0)],
+                             ids=["epochs0", "lr-nan", "patience0", "units0", "layers0",
+                                  "dropout1", "batch-size0"])
     def test_bad_train_config_is_usage_error(self, flags, dataset_dir, tmp_path):
         assert run("train", "--dataset", dataset_dir, *flags, "--out", tmp_path / "m") == 2
+        assert not (tmp_path / "m").exists()
 
     def test_predict_without_source_is_usage_error(self, dataset_dir, tmp_path):
         assert run("predict", "--dataset", dataset_dir, "--out", tmp_path / "x") == 2
@@ -490,7 +504,8 @@ RECORD_ROW = "test-000000,3,100.0,8,hard,50.0,Optimal,{z},17.0,0.01,0.005,4,0.0\
 
 
 def _corrupt(kind: str, dataset_dir: Path, tmp: Path) -> list:
-    """Write an input file whose line 2 is malformed; return the command reading it."""
+    """Write an input file whose line 2 is malformed, or whose header lacks
+    ``optgap_pct``; return the command reading it."""
     good_probs = json.dumps({"instance_id": "test-000000", "probs": [0.5] * 8})
     probs = tmp / "probs.jsonl"
     evaluate = ["evaluate", "--dataset", dataset_dir, "--probs", probs, "--out", tmp / "o"]
@@ -522,9 +537,13 @@ def _corrupt(kind: str, dataset_dir: Path, tmp: Path) -> list:
         return ["solve", "--dataset", ds, "--solver", "dp", "--out", tmp / "o"]
     from lotsize.dataio import RECORD_COLUMNS
 
+    records = tmp / "records.csv"
+    if kind == "records-missing-column":
+        rows = [RECORD_ROW.format(z=17.0).rsplit(",", 1)[0] + "\n"] * 2
+        records.write_text(",".join(RECORD_COLUMNS[:-1]) + "\n" + "".join(rows))
+        return ["report", "--records", records, "--out", tmp / "o"]
     row = {"records-truncated": RECORD_ROW.format(z=17.0)[:30] + "\n",
            "records-z-star": RECORD_ROW.format(z="abc")}[kind]
-    records = tmp / "records.csv"
     records.write_text(",".join(RECORD_COLUMNS) + "\n" + row + RECORD_ROW.format(z=17.0))
     return ["report", "--records", records, "--out", tmp / "o"]
 
@@ -532,7 +551,7 @@ def _corrupt(kind: str, dataset_dir: Path, tmp: Path) -> list:
 @pytest.mark.parametrize("kind", [
     "probs-truncated", "probs-string", "probs-missing", "probs-repeated-id",
     "dataset-truncated", "dataset-fractional-demand", "dataset-fractional-horizon",
-    "dataset-fractional-label", "records-truncated", "records-z-star",
+    "dataset-fractional-label", "records-truncated", "records-z-star", "records-missing-column",
 ])
 def test_malformed_input_file_is_usage_error(kind, dataset_dir, tmp_path):
     argv = _corrupt(kind, dataset_dir, tmp_path)
@@ -542,7 +561,9 @@ def test_malformed_input_file_is_usage_error(kind, dataset_dir, tmp_path):
     )
     assert proc.returncode == EXIT_USAGE, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert ":2: malformed entry" in proc.stderr
+    expected = "['optgap_pct']" if kind == "records-missing-column" else ":2: malformed entry"
+    assert expected in proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("field,value", [("T", 8.5), ("seed", 1.5), ("c_ratio", 3.9)])
