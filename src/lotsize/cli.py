@@ -194,12 +194,14 @@ def cmd_solve(args, manifest: RunManifest):
         solutions = list(map_fn(solver, [inst for inst, _ in split]))
     csv_path = out / "solutions.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("instance_id,status,objective,wall_time_s,nodes,lp_solves,cuts,cut_stop\n")
+        fh.write("instance_id,status,objective,wall_time_s,nodes,lp_solves,cuts,cut_stop,"
+                 "root_bound\n")
         for iid, sol in zip(split_ids(args.split, len(split)), solutions):
             st = sol.stats
+            root = "" if st.root_bound is None else repr(st.root_bound)
             fh.write(
                 f"{iid},{sol.status},{sol.objective!r},{st.wall_time_seconds!r},"
-                f"{st.nodes_explored},{st.lp_solves},{st.cuts_added},{st.cut_stop}\n"
+                f"{st.nodes_explored},{st.lp_solves},{st.cuts_added},{st.cut_stop},{root}\n"
             )
     manifest.finish(out, [csv_path])
     print(f"wrote {csv_path}")

@@ -168,6 +168,11 @@ class SolveStats:
     relaxation was solved; ``"root-gap"`` when the screen skipped it;
     ``"no-cut"`` when a round separated no fresh cut; ``"rounds"`` when
     every round ran.
+
+    ``root_bound`` is the objective of the root relaxation that branch and
+    bound searches from: the cut-free root, or the cut loop's last point
+    when the loop ran. It is None when no relaxation was solved or the
+    root is infeasible, and for a backend without one (dp, brute).
     """
 
     wall_time_seconds: float = 0.0
@@ -176,6 +181,7 @@ class SolveStats:
     mip_gap: float | None = None
     cuts_added: int = 0
     cut_stop: str = "off"
+    root_bound: float | None = None
 
 
 @dataclass(frozen=True)

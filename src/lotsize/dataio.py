@@ -2,8 +2,9 @@
 
 A dataset directory holds ``meta.json`` plus one JSON-lines file per split;
 each line pairs an instance with its oracle solution. Writing is canonical
-(sorted keys, no timestamps) so regeneration with the same seed is
-byte-identical; timestamps live only in the run manifest.
+(sorted keys, no timestamps), so regeneration with the same seed differs
+only in each solution's measured solve ``time``; timestamps live only in
+the run manifest.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import csv
 import json
 import typing
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 
 from .core import STATUS_OPTIMAL, Instance, Solution
@@ -22,22 +22,6 @@ from .pipeline import EvalRecord, PredictionVector
 
 SPLIT_FILES = {"train": "train.jsonl", "val": "val.jsonl", "test": "test.jsonl"}
 
-RECORD_COLUMNS = [
-    "instance_id",
-    "c_ratio",
-    "f_ratio",
-    "T",
-    "mode",
-    "level_pct",
-    "status",
-    "z_star",
-    "z_tilde",
-    "time_plain_s",
-    "time_ml_s",
-    "k_fixed",
-    "optgap_pct",
-]
-
 
 def _cell_parser(hint):
     """The parser of one records column: a ``T | None`` field reads '' as None."""
@@ -45,7 +29,7 @@ def _cell_parser(hint):
     return (lambda cell: kinds[0](cell) if cell else None) if kinds else hint
 
 
-# Column -> parser, from EvalRecord's own field annotations.
+# Column -> parser, from EvalRecord's own field annotations, in file order.
 _RECORD_PARSERS = {col: _cell_parser(t) for col, t in typing.get_type_hints(EvalRecord).items()}
 
 
@@ -181,10 +165,9 @@ def write_records_csv(path: str | Path, records: list[EvalRecord]) -> Path:
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
+        writer.writerow(_RECORD_PARSERS)
         for r in records:
-            row = asdict(r)
-            writer.writerow([_fmt(row[col]) for col in RECORD_COLUMNS])
+            writer.writerow([_fmt(getattr(r, col)) for col in _RECORD_PARSERS])
     return path
 
 
@@ -195,7 +178,7 @@ def read_records_csv(path: str | Path) -> list[EvalRecord]:
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        missing = [col for col in RECORD_COLUMNS if col not in (reader.fieldnames or ())]
+        missing = [col for col in _RECORD_PARSERS if col not in (reader.fieldnames or ())]
         if missing:
             raise UsageError(f"records file {path} lacks the columns {missing}")
         for row in reader:

@@ -25,10 +25,6 @@ class ResourceLimitError(LotsizeError):
     """A solver's state-space or enumeration budget was exceeded."""
 
 
-class UndefinedGapError(LotsizeError):
-    """Gap computation requested with a non-positive reference objective."""
-
-
 class DivergenceError(LotsizeError):
     """Training produced a non-finite loss."""
 

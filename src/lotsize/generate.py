@@ -172,9 +172,8 @@ def generate_dataset(
 ) -> Dataset:
     """Generate ``n`` feasible instances, solve each with ``oracle`` and split.
 
-    ``counts`` overrides the default 64/16/20 split (the acceptance suite
-    uses explicit counts). ``map_fn`` replaces the builtin map for parallel
-    solving; it must preserve order.
+    ``counts`` overrides the default 64/16/20 split. ``map_fn`` replaces the
+    builtin map for parallel solving; it must preserve order.
     """
     if n < 10:
         raise ValidationError("dataset generation requires n >= 10")

@@ -36,6 +36,7 @@ import numpy as np
 
 from .core import (
     STATUS_INFEASIBLE,
+    STATUS_OPTIMAL,
     FixPlan,
     Instance,
     Solution,
@@ -96,7 +97,8 @@ class EvalOptions:
     """Solver settings of the ML solves, and the caller's plain solve.
 
     ``baseline`` is the unrestricted solve of the same instance on the same
-    solver stack; its objective is z* and its wall time the plain time. Only
+    solver stack; its wall time is the plain time, and its objective is z*
+    when its status is Optimal (otherwise z* and the gap are None). Only
     the per-mode ``solve_with_*`` functions, kept for the benchmark's
     ``fixing`` grid, take it from the caller.
     """
@@ -108,9 +110,14 @@ class EvalOptions:
     instance_id: str = ""
 
 
-@dataclass
+@dataclass(kw_only=True)
 class EvalRecord:
+    """One ``records.csv`` row; the fields are its columns, in file order."""
+
     instance_id: str
+    c_ratio: float | None = None
+    f_ratio: float | None = None
+    T: int | None = None
     mode: str
     level_pct: float
     status: str
@@ -120,9 +127,6 @@ class EvalRecord:
     time_ml_s: float
     k_fixed: int
     optgap_pct: float | None
-    c_ratio: float | None = None
-    f_ratio: float | None = None
-    T: int | None = None
 
 
 def _solve_mode(
@@ -144,7 +148,8 @@ def _solve_mode(
     ))
     time_ml = time.perf_counter() - t0 + pred.predict_seconds
     baseline = opts.baseline
-    z_star = baseline.objective if baseline.status != STATUS_INFEASIBLE else None
+    # A plain solve cut short by the time limit proves no optimum to score against.
+    z_star = baseline.objective if baseline.status == STATUS_OPTIMAL else None
     z_tilde = sol.objective if sol.status != STATUS_INFEASIBLE else None
     optgap = 100.0 * (z_tilde - z_star) / z_star if z_tilde is not None and z_star else None
     meta = inst.meta or {}

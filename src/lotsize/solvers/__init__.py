@@ -4,7 +4,7 @@ from .bnb import BnbOptions, branch_and_bound, repair_pattern, solve_with_ls_cut
 from .brute import brute_force
 from .cuts import DEFAULT_ROUNDS, root_cut_loop, separate_ls_cuts
 from .dp import solve_dp
-from .lp import LpSolution, LpWorkspace, compute_igap, solve_lp
+from .lp import LpSolution, LpWorkspace
 from .pattern import solve_for_pattern
 
 # Every exact backend, by the name the command line and scripts use.
@@ -45,13 +45,11 @@ __all__ = [
     "SOLVERS",
     "branch_and_bound",
     "brute_force",
-    "compute_igap",
     "repair_pattern",
     "root_cut_loop",
     "separate_ls_cuts",
     "solve",
     "solve_dp",
     "solve_for_pattern",
-    "solve_lp",
     "solve_with_ls_cuts",
 ]

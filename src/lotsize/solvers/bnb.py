@@ -20,8 +20,9 @@ than the bound they could still close. Otherwise ``ls_rounds`` rounds of
 (l,S) separation (``cuts.root_cut_loop``) tighten the root, starting from
 the closed-form point, so the cut-free LP is not solved again in HiGHS; the
 loop's last point is the root node, also when the loop found no cut. ``SolveStats``
-records why the loop stopped (``cut_stop``). The plain solve and every
-restricted solve of an evaluation go through this same rule.
+records why the loop stopped (``cut_stop``) and the root node's objective
+(``root_bound``). The plain solve and every restricted solve of an
+evaluation go through this same rule.
 
 With cut rows, nodes are solved on the loop's own ``LpWorkspace``: one
 persistent HiGHS model that holds the cut rows, where a node changes only
@@ -157,6 +158,7 @@ def branch_and_bound(
     lp_solves = 0
     nodes_explored = 0
     cut_stop = "off"
+    root_bound = None
 
     def stats(**kwargs) -> SolveStats:
         return SolveStats(
@@ -165,6 +167,7 @@ def branch_and_bound(
             lp_solves=lp_solves,
             cuts_added=len(pool),
             cut_stop=cut_stop,
+            root_bound=root_bound,
             **kwargs,
         )
 
@@ -211,6 +214,7 @@ def branch_and_bound(
                 relaxation = workspace
             if root.status == LP_INFEASIBLE:
                 return infeasible_solution(inst.T, stats())
+    root_bound = root.objective
 
     def upper() -> float:
         return incumbent.objective if incumbent is not None else float("inf")

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..core import Instance, Solution, SolveStats, infeasible_solution
 from ..errors import ResourceLimitError
-from .pattern import solve_for_pattern
+from .pattern import PathData, solve_for_pattern
 
 BRUTE_MAX_T = 20
 
@@ -25,11 +25,12 @@ def brute_force(inst: Instance) -> Solution:
         )
     t0 = time.perf_counter()
     best: Solution | None = None
+    path = PathData(inst)
     pattern = np.zeros(inst.T, dtype=np.int64)
     for mask in range(1 << inst.T):
         for t in range(inst.T):
             pattern[t] = (mask >> t) & 1
-        sol = solve_for_pattern(inst, pattern)
+        sol = solve_for_pattern(inst, pattern, path)
         if sol is not None and (best is None or sol.objective < best.objective):
             best = sol
     elapsed = time.perf_counter() - t0

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize._highspy import _core as _highs
 
-from ..core import FixPlan, Instance
-from ..errors import UndefinedGapError
+from ..core import Instance
 
 LP_OPTIMAL = "Optimal"
 LP_INFEASIBLE = "Infeasible"
@@ -117,16 +116,3 @@ class LpWorkspace:
             objective=highs.getObjectiveValue(), status=LP_OPTIMAL,
         )
 
-
-def solve_lp(inst: Instance, plan: FixPlan | None = None) -> LpSolution:
-    """Exact optimum of the relaxation with 0 <= y <= 1 and plan fixings."""
-    plan = plan or FixPlan.empty()
-    plan.validate_for(inst.T)
-    return LpWorkspace(inst).solve(dict(plan.entries))
-
-
-def compute_igap(mip_obj: float, lp_obj: float) -> float:
-    """Integrality gap in percent: 100 * (mip - lp) / mip."""
-    if mip_obj <= 0:
-        raise UndefinedGapError("integrality gap undefined for non-positive MIP objective")
-    return 100.0 * (mip_obj - lp_obj) / mip_obj

@@ -30,7 +30,8 @@ cumulative net demand, the open unit costs ``p_u + H_u`` and the
 capacities, as arrays and as lists. ``branch_and_bound`` builds it once per
 call, before its flow test, and passes it to ``core.flow_feasible``, to
 ``PathRelaxation`` (which adds the free-period costs) and to every
-``solve_for_pattern`` call; a caller without it gets a fresh copy. It is not
+``solve_for_pattern`` call; ``brute_force`` builds it once for all its
+patterns. A caller without it gets a fresh copy. It is not
 cached on the ``Instance``: at about 2.8 KB per instance at T=20, arrays and
 lists included, that would add up over a data set. A pattern solve returns
 its fresh arrays frozen in place (``Solution.adopt``), so they are not

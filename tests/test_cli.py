@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import inspect
 import json
 import os
@@ -18,7 +19,7 @@ import lotsize
 from lotsize.cli import EXIT_USAGE, build_parser, main
 from lotsize.dataio import read_dataset
 from lotsize.nn.model_io import MAGIC, load_model
-from lotsize.pipeline import concat_predictions
+from lotsize.pipeline import EvalRecord, concat_predictions
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # A weight-file header that lacks the model width.
@@ -148,6 +149,7 @@ class TestSolve:
                 row.pop("wall_time_s")
             rows.append(table)
         assert len(rows[0]) == 5 and rows[0] == rows[1]
+        assert {row["root_bound"] for row in rows[0]} == {""}
 
     def test_brute_guard_on_long_horizon(self, tmp_path):
         big = tmp_path / "big"
@@ -175,14 +177,18 @@ class TestSolve:
                    "--ls-rounds", 3, "--out", tmp_path / "o") == 0
         rows = list(csv.DictReader(open(tmp_path / "o" / "solutions.csv")))
         assert list(rows[0]) == ["instance_id", "status", "objective", "wall_time_s",
-                                 "nodes", "lp_solves", "cuts", "cut_stop"]
+                                 "nodes", "lp_solves", "cuts", "cut_stop", "root_bound"]
         assert {r["cut_stop"] for r in rows} <= {"root-gap", "no-cut", "rounds"}
         for r in rows:
             assert (r["cut_stop"] == "root-gap") <= (r["cuts"] == "0")
         assert run("solve", "--dataset", dataset_dir, "--solver", "bnb",
                    "--out", tmp_path / "b") == 0
-        rows = list(csv.DictReader(open(tmp_path / "b" / "solutions.csv")))
-        assert {r["cut_stop"] for r in rows} == {"off"}
+        bnb = list(csv.DictReader(open(tmp_path / "b" / "solutions.csv")))
+        assert {r["cut_stop"] for r in bnb} == {"off"}
+        # Cuts only tighten the root; no root bound exceeds the optimum.
+        for cut, plain in zip(rows, bnb):
+            assert float(cut["root_bound"]) >= float(plain["root_bound"]) - 1e-9
+            assert float(plain["root_bound"]) <= float(plain["objective"]) * (1 + 1e-9)
 
     def test_lscuts_without_rounds_is_usage_error(self, dataset_dir, tmp_path, capsys):
         assert run("solve", "--dataset", dataset_dir, "--solver", "lscuts",
@@ -535,16 +541,15 @@ def _corrupt(kind: str, dataset_dir: Path, tmp: Path) -> list:
             lines[1] = json.dumps(row) + "\n"
         (ds / "test.jsonl").write_text("".join(lines))
         return ["solve", "--dataset", ds, "--solver", "dp", "--out", tmp / "o"]
-    from lotsize.dataio import RECORD_COLUMNS
-
+    columns = [f.name for f in dataclasses.fields(EvalRecord)]
     records = tmp / "records.csv"
     if kind == "records-missing-column":
         rows = [RECORD_ROW.format(z=17.0).rsplit(",", 1)[0] + "\n"] * 2
-        records.write_text(",".join(RECORD_COLUMNS[:-1]) + "\n" + "".join(rows))
+        records.write_text(",".join(columns[:-1]) + "\n" + "".join(rows))
         return ["report", "--records", records, "--out", tmp / "o"]
     row = {"records-truncated": RECORD_ROW.format(z=17.0)[:30] + "\n",
            "records-z-star": RECORD_ROW.format(z="abc")}[kind]
-    records.write_text(",".join(RECORD_COLUMNS) + "\n" + row + RECORD_ROW.format(z=17.0))
+    records.write_text(",".join(columns) + "\n" + row + RECORD_ROW.format(z=17.0))
     return ["report", "--records", records, "--out", tmp / "o"]
 
 

@@ -16,7 +16,6 @@ from lotsize.solvers import (
     brute_force,
     root_cut_loop,
     separate_ls_cuts,
-    solve_lp,
     solve_with_ls_cuts,
 )
 from lotsize.solvers.cuts import SEPARATION_TOL
@@ -104,7 +103,7 @@ def separation_points(draw):
     inst = Instance(T=T, d=d, p=rng.integers(0, 5, T), f=rng.integers(0, 300, T),
                     h=rng.integers(0, 3, T), cap=cap, s0=draw(st.integers(0, 40)))
     if draw(st.booleans()):
-        lp = solve_lp(inst)
+        lp = LpWorkspace(inst).solve()
         if lp.status == LP_OPTIMAL:
             return inst, lp
     cum = np.concatenate([[0.0], np.cumsum(inst.d)])
@@ -147,7 +146,7 @@ class TestSeparation:
     @given(seed=st.integers(0, 100_000))
     def test_matches_enumeration_at_lp_points(self, seed):
         inst = random_small_instance(np.random.default_rng(seed), T=5)
-        lp = solve_lp(inst)
+        lp = LpWorkspace(inst).solve()
         if lp.status != LP_OPTIMAL:
             return
         rows = separate_ls_cuts(inst, lp, tol=1e-6)

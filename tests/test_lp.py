@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from lotsize import FixPlan, Instance, flow_feasible
-from lotsize.errors import UndefinedGapError
-from lotsize.solvers import LpWorkspace, compute_igap, solve_lp
+from lotsize.solvers import LpWorkspace
 from lotsize.solvers.lp import LP_INFEASIBLE, LP_OPTIMAL
 
 from conftest import desk_instances, edge_instances, random_small_instance
@@ -66,22 +65,22 @@ def workspace_steps(draw):
 
 class TestSolveLp:
     def test_relaxation_bounds_e1(self, e1):
-        lp = solve_lp(e1)
+        lp = LpWorkspace(e1).solve()
         assert lp.status == LP_OPTIMAL
         assert lp.objective <= 17.0 + 1e-7
 
     def test_plan_infeasibility_matches_flow_test(self, e1):
-        assert solve_lp(e1, FixPlan({2: 0})).status == LP_INFEASIBLE
+        assert LpWorkspace(e1).solve({2: 0}).status == LP_INFEASIBLE
 
     def test_single_period_by_hand(self):
         inst = Instance(T=1, d=[5], p=[1], f=[2], h=[1], cap=[10])
-        lp = solve_lp(inst)
+        lp = LpWorkspace(inst).solve()
         assert lp.status == LP_OPTIMAL
         assert lp.objective == pytest.approx(6.0, abs=1e-7)
         assert lp.y[0] == pytest.approx(0.5, abs=1e-7)
 
     def test_constraints_hold_at_optimum(self, e1):
-        lp = solve_lp(e1)
+        lp = LpWorkspace(e1).solve()
         s_prev = np.concatenate([[0.0], lp.s[:-1]])
         assert np.allclose(s_prev + lp.x - e1.d, lp.s, atol=1e-7)
         assert np.all(lp.x <= lp.y * e1.cap + 1e-7)
@@ -95,7 +94,7 @@ class TestSolveLp:
             st.lists(st.integers(1, inst.T), unique=True, min_size=0, max_size=inst.T)
         )
         plan = FixPlan({t: 0 for t in zeros})
-        lp = solve_lp(inst, plan)
+        lp = LpWorkspace(inst).solve(dict(plan.entries))
         assert (lp.status == LP_INFEASIBLE) == (not flow_feasible(inst, plan))
 
 
@@ -119,19 +118,3 @@ class TestPersistentWorkspace:
                 for t, v in step.items():
                     assert lp.y[t - 1] == pytest.approx(v, abs=1e-9)
 
-
-class TestComputeIgap:
-    def test_benchmark_scale_value(self):
-        assert compute_igap(100.0, 92.5) == pytest.approx(7.5)
-
-    def test_equal_bounds(self):
-        assert compute_igap(42.0, 42.0) == 0.0
-
-    def test_e1_gap_in_range(self, e1):
-        lp = solve_lp(e1)
-        gap = compute_igap(17.0, lp.objective)
-        assert 0.0 <= gap < 100.0
-
-    def test_zero_mip_objective(self):
-        with pytest.raises(UndefinedGapError):
-            compute_igap(0.0, 0.0)

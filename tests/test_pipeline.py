@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lotsize import FixPlan, Instance, flow_feasible
+from lotsize import (
+    STATUS_TIME_LIMIT, FixPlan, Instance, desk_params, flow_feasible, generate_instance,
+)
 from lotsize.errors import PartitionError, ValidationError
 from lotsize.nn import BiLstmModel, Standardizer, bilstm_forward, instance_features
 from lotsize.pipeline import (
@@ -19,7 +21,7 @@ from lotsize.pipeline import (
     soft_fix_plan,
     solve_with_hard_fix,
 )
-from lotsize.solvers import BnbOptions, branch_and_bound, brute_force, solve_for_pattern
+from lotsize.solvers import BnbOptions, branch_and_bound, brute_force, solve_dp, solve_for_pattern
 
 from conftest import edge_instances, generated_instances
 
@@ -216,6 +218,18 @@ class TestEvaluateInstance:
             assert {r.z_star for r in records} == {branch_and_bound(inst, opts=self.OPTS).objective}
             assert len({r.time_plain_s for r in records}) == 1
             assert {r.instance_id for r in records} == {"x"}
+
+    def test_time_limited_plain_solve_gives_no_z_star(self):
+        # With no time to branch, the plain solve stops at its root incumbent,
+        # which is no optimum: scoring against it read gaps down to -26.6%.
+        inst = generate_instance(desk_params(3, 100.0, T=20, seed=4242), 0)
+        opts = BnbOptions(time_limit=0, ls_rounds=0)
+        assert branch_and_bound(inst, opts=opts).status == STATUS_TIME_LIMIT
+        labels = pred(np.where(solve_dp(inst).y == 1, 0.9, 0.1))
+        records = evaluate_instance(inst, labels, ["hard", "warm"], [0, 50, 85], opts)
+        assert len(records) == 4
+        assert all(r.z_star is None and r.optgap_pct is None for r in records)
+        assert all(r.z_tilde is not None for r in records)
 
     @pytest.mark.parametrize("modes,levels", [
         (["hard", "cold"], [50]), ([], [50]), (["soft", "hard"], []), (["hard"], [50, 120]),

@@ -23,7 +23,6 @@ from lotsize.solvers import (
     solve,
     solve_dp,
     solve_for_pattern,
-    solve_lp,
 )
 from lotsize.solvers.dp import DP_STATE_BUDGET
 from lotsize.solvers.lp import LP_OPTIMAL, LpWorkspace
@@ -178,7 +177,7 @@ class TestPatternSolver:
             st.lists(st.integers(0, 1), min_size=inst.T, max_size=inst.T)
         )
         greedy = solve_for_pattern(inst, pattern)
-        lp = solve_lp(inst, FixPlan({t + 1: v for t, v in enumerate(pattern)}))
+        lp = LpWorkspace(inst).solve({t + 1: v for t, v in enumerate(pattern)})
         if greedy is None:
             assert lp.status != LP_OPTIMAL
         else:
@@ -425,6 +424,42 @@ class TestSolveCutRounds:
             solve(name, inst, BnbOptions(ls_rounds=rounds))
 
 
+class TestRootBound:
+    """``SolveStats.root_bound`` is the objective of the root relaxation B&B searched from."""
+
+    @pytest.fixture(scope="class")
+    def draws(self) -> dict:
+        # 30 draws per capacity ratio at T=15, f=100, d in [1, 60], seed 11.
+        return {c: [generate_instance(GenParams(c, 100.0, T=15, demand_range=(1, 60), seed=11), i)
+                    for i in range(30)] for c in (3, 5, 8)}
+
+    def test_bnb_root_is_the_lp_relaxation_and_cuts_only_tighten_it(self, draws):
+        mean_gap = {}
+        for c, instances in draws.items():
+            gaps = []
+            for inst in instances:
+                bnb, cuts = solve("bnb", inst), solve("lscuts", inst)
+                lp = LpWorkspace(inst).solve()
+                assert bnb.stats.root_bound == pytest.approx(lp.objective, rel=1e-9)
+                assert cuts.stats.root_bound >= bnb.stats.root_bound - 1e-9
+                for sol in (bnb, cuts):
+                    assert sol.status == STATUS_OPTIMAL
+                    assert sol.stats.root_bound <= sol.objective + 1e-9 * sol.objective
+                gaps.append(100.0 * (bnb.objective - bnb.stats.root_bound) / bnb.objective)
+            mean_gap[c] = sum(gaps) / len(gaps)
+        # The mean root integrality gaps per capacity ratio on these draws.
+        assert mean_gap == pytest.approx({3: 12.63, 5: 18.96, 8: 24.84}, abs=0.005)
+
+    def test_none_without_a_root_relaxation(self, e1):
+        assert solve("dp", e1).stats.root_bound is None
+        assert solve("brute", e1).stats.root_bound is None
+        # A flow-infeasible plan and a plan that pins every setup solve no relaxation.
+        assert branch_and_bound(e1, FixPlan({2: 0})).stats.root_bound is None
+        full = branch_and_bound(e1, FixPlan({1: 1, 2: 1, 3: 0}))
+        assert full.objective == 17.0 and full.stats.root_bound is None
+        assert branch_and_bound(e1).stats.root_bound <= 17.0
+
+
 class TestCutFreeBranchAndBound:
     @settings(max_examples=150, deadline=None)
     @given(inst=edge_instances())
@@ -437,6 +472,10 @@ class TestCutFreeBranchAndBound:
             if bf.status == "Optimal":
                 assert sol.objective == pytest.approx(bf.objective, rel=1e-9, abs=1e-9), name
                 assert check_solution(inst, sol) == [], name
+            if name in ("dp", "brute"):
+                assert sol.stats.root_bound is None, name
+            elif sol.status == "Optimal":
+                assert sol.stats.root_bound <= sol.objective + 1e-9 * max(1.0, sol.objective), name
         bb = sols["bnb"]
         if bb.status == "Optimal":
             assert bb.stats.lp_solves == bb.stats.nodes_explored
