@@ -23,11 +23,10 @@ FEATURE_RECIPE = "period-v1"
 class LogisticConfig:
     learning_rate: float = 0.5
     epochs: int = 1500
-    l2: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.epochs < 1 or self.l2 < 0:
+        if self.learning_rate <= 0 or self.epochs < 1:
             raise ValidationError("invalid logistic regression config")
 
 
@@ -54,15 +53,13 @@ def period_features(inst: Instance, standardizer: Standardizer) -> np.ndarray:
 def logistic_fit(
     train_pairs: list[tuple[Instance, Solution]],
     config: LogisticConfig | None = None,
-    standardizer: Standardizer | None = None,
     init_weights: np.ndarray | None = None,
 ) -> LogisticModel:
-    """Full-batch gradient descent on mean binary cross-entropy plus L2."""
+    """Full-batch gradient descent on mean binary cross-entropy."""
     if not train_pairs:
         raise ValidationError("empty training set")
     config = config or LogisticConfig()
-    if standardizer is None:
-        standardizer = standardize_fit([instance_features(inst) for inst, _ in train_pairs])
+    standardizer = standardize_fit([instance_features(inst) for inst, _ in train_pairs])
     X = np.vstack([period_features(inst, standardizer) for inst, _ in train_pairs])
     y = np.concatenate([sol.y for _, sol in train_pairs]).astype(np.float64)
     n = len(y)
@@ -77,7 +74,7 @@ def logistic_fit(
         scores = X @ w + b
         probs = expit(scores)
         err = probs - y
-        grad_w = X.T @ err / n + config.l2 * w
+        grad_w = X.T @ err / n
         grad_b = float(err.mean())
         w -= config.learning_rate * grad_w
         b -= config.learning_rate * grad_b

@@ -12,6 +12,10 @@ win, and a key the command does not define is a usage error. Exit codes: 0
 success, 2 usage, 3 missing input or an output path that cannot be written, 4
 format mismatch, 5 resource limits. Exits 2, 3 and 4 leave no ``--out``; a
 resource limit hit during the work can leave a partial one.
+
+No command takes a gap tolerance: ``solve`` and ``evaluate`` prune at
+``solvers.bnb.GAP_TOL``, so an ``Optimal`` status is an optimum to a
+relative 1e-9.
 """
 
 from __future__ import annotations
@@ -175,16 +179,15 @@ def cmd_gen(args, manifest: RunManifest):
 
 def cmd_solve(args, manifest: RunManifest):
     _check_solver(args.solver, "--solver")
-    reads = {"bnb": ("time_limit", "gap_tol"), "lscuts": ("time_limit", "gap_tol", "ls_rounds")}
-    for name in ("time_limit", "gap_tol", "ls_rounds"):
-        if getattr(args, name) is not None and name not in reads.get(args.solver, ()):
-            raise UsageError(f"--solver {args.solver} does not read --{name.replace('_', '-')}")
+    if args.time_limit is not None and args.solver not in ("bnb", "lscuts"):
+        raise UsageError(f"--solver {args.solver} does not read --time-limit")
+    if args.ls_rounds is not None and args.solver != "lscuts":
+        raise UsageError(f"--solver {args.solver} does not read --ls-rounds")
     _, split = _read_split(args)
-    gap_tol = BnbOptions.gap_tol if args.gap_tol is None else args.gap_tol
     rounds = DEFAULT_ROUNDS if args.ls_rounds is None else args.ls_rounds
     if args.solver == "lscuts" and rounds < 1:
         raise UsageError("solver lscuts needs ls_rounds of at least 1")
-    opts = BnbOptions(time_limit=args.time_limit, gap_tol=gap_tol,
+    opts = BnbOptions(time_limit=args.time_limit,
                       ls_rounds=rounds if args.solver == "lscuts" else 0)
     solver = functools.partial(solve, args.solver, opts=opts)
     if args.jobs < 1:
@@ -291,9 +294,7 @@ def cmd_predict(args, manifest: RunManifest):
 def cmd_evaluate(args, manifest: RunManifest):
     modes = [m.strip() for m in args.mode.split(",") if m.strip()]
     levels = validate_grid(modes, _levels(args.levels))
-    bnb_opts = BnbOptions(
-        time_limit=args.time_limit, gap_tol=args.gap_tol, ls_rounds=args.ls_rounds
-    )
+    bnb_opts = BnbOptions(time_limit=args.time_limit, ls_rounds=args.ls_rounds)
     _, split = _read_split(args)
     preds, untimed = read_probabilities(args.probs)
     # Rows without predict_s add nothing to time_ml_s; the manifest says how many.
@@ -357,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", required=True, help=", ".join(SOLVERS))
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
     p.add_argument("--time-limit", type=float, default=None, help="bnb, lscuts")
-    p.add_argument("--gap-tol", type=float, default=None, help="bnb, lscuts")
     p.add_argument("--ls-rounds", type=int, default=None, help="lscuts")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
@@ -394,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", default=",".join(str(v) for v in DEFAULT_LEVELS))
     p.add_argument("--mode", default=MODE_HARD, help=f"comma list from {', '.join(MODES)}")
     p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--gap-tol", type=float, default=1e-9)
     p.add_argument("--ls-rounds", type=int, default=3)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .core import STATUS_OPTIMAL, Instance, Solution
 from .errors import DimensionError, UsageError, ValidationError
-from .generate import Dataset, GenParams
+from .generate import SPLIT_FRACTIONS, Dataset, GenParams
 from .pipeline import EvalRecord, PredictionVector
 
 SPLIT_FILES = {"train": "train.jsonl", "val": "val.jsonl", "test": "test.jsonl"}
@@ -53,7 +53,7 @@ def write_dataset(dataset: Dataset, path: str | Path) -> Path:
     meta = {
         "format": 1,
         "gen_params": dataset.gen_params.to_dict(),
-        "split_fractions": list(dataset.split_fractions),
+        "split_fractions": list(SPLIT_FRACTIONS),
         "counts": counts,
         "oracle": dataset.provenance.get("oracle", ""),
         "n": dataset.n,
@@ -74,7 +74,6 @@ def read_dataset(path: str | Path) -> Dataset:
     with _entry(meta_path, 1):
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         gen_params = GenParams.from_dict(meta["gen_params"])
-        fractions = tuple(meta.get("split_fractions", (0.64, 0.16, 0.20)))
     splits = {}
     for name, fname in SPLIT_FILES.items():
         pairs = []
@@ -95,7 +94,6 @@ def read_dataset(path: str | Path) -> Dataset:
         validation=splits["val"],
         test=splits["test"],
         gen_params=gen_params,
-        split_fractions=fractions,
         provenance={"oracle": meta.get("oracle", ""), "n": meta.get("n")},
     )
 

@@ -90,18 +90,17 @@ def desk_params(c_ratio: int, f_ratio: float, T: int = 20, seed: int = 0) -> Gen
     return GenParams(c_ratio=c_ratio, f_ratio=f_ratio, T=T, demand_range=(1, 60), seed=seed)
 
 
-def generate_instance(
-    params: GenParams, draw_index: int, max_attempts: int = REDRAW_BUDGET
-) -> Instance:
+def generate_instance(params: GenParams, draw_index: int) -> Instance:
     """Draw one feasible instance, deterministically from (seed, draw_index).
 
     Holding cost is fixed at one per unit per period; capacities scale with
     the realized mean demand and setup costs with the mean holding cost.
-    Infeasible draws are replaced by redrawing the whole instance.
+    Infeasible draws are replaced by redrawing the whole instance, at most
+    ``REDRAW_BUDGET`` times in all.
     """
     d_lo, d_hi = params.demand_range
     p_lo, p_hi = params.prod_cost_range
-    for attempt in range(max_attempts):
+    for attempt in range(REDRAW_BUDGET):
         seq = np.random.SeedSequence(params.seed, spawn_key=(int(draw_index), attempt))
         rng = np.random.default_rng(seq)
         d = rng.integers(d_lo, d_hi + 1, params.T)
@@ -132,7 +131,7 @@ def generate_instance(
         if flow_feasible(inst, FixPlan.empty()):
             return inst
     raise GenerationError(
-        f"no feasible draw within {max_attempts} attempts for draw_index={draw_index}; "
+        f"no feasible draw within {REDRAW_BUDGET} attempts for draw_index={draw_index}; "
         "the parameters are pathological"
     )
 
@@ -145,7 +144,6 @@ class Dataset:
     validation: list[tuple[Instance, Solution]]
     test: list[tuple[Instance, Solution]]
     gen_params: GenParams
-    split_fractions: tuple[float, float, float] = SPLIT_FRACTIONS
     provenance: dict = field(default_factory=dict)
 
     @property
@@ -156,9 +154,9 @@ class Dataset:
         return (("train", self.train), ("val", self.validation), ("test", self.test))
 
 
-def split_counts(n: int, fractions=SPLIT_FRACTIONS) -> tuple[int, int, int]:
-    n_train = int(n * fractions[0])
-    n_val = int(n * fractions[1])
+def split_counts(n: int) -> tuple[int, int, int]:
+    n_train = int(n * SPLIT_FRACTIONS[0])
+    n_val = int(n * SPLIT_FRACTIONS[1])
     return n_train, n_val, n - n_train - n_val
 
 
@@ -166,19 +164,17 @@ def generate_dataset(
     params: GenParams,
     n: int,
     oracle: Callable[[Instance], Solution],
-    counts: tuple[int, int, int] | None = None,
     oracle_name: str = "oracle",
     map_fn: Callable | None = None,
 ) -> Dataset:
     """Generate ``n`` feasible instances, solve each with ``oracle`` and split.
 
-    ``counts`` overrides the default 64/16/20 split. ``map_fn`` replaces the
-    builtin map for parallel solving; it must preserve order.
+    The split is ``split_counts(n)``: train, validation and test take the
+    ``SPLIT_FRACTIONS`` 64/16/20 of the draws, in draw order. ``map_fn``
+    replaces the builtin map for parallel solving; it must preserve order.
     """
     if n < 10:
         raise ValidationError("dataset generation requires n >= 10")
-    if counts is not None and sum(counts) != n:
-        raise ValidationError("explicit split counts must sum to n")
     instances = [generate_instance(params, i) for i in range(n)]
     mapper = map_fn or map
     solutions = list(mapper(oracle, instances))
@@ -187,14 +183,11 @@ def generate_dataset(
         if sol.status != STATUS_OPTIMAL:
             raise DatasetError(f"oracle returned status {sol.status} on instance {i}")
         pairs.append((inst, sol))
-    n_train, n_val, n_test = counts if counts is not None else split_counts(n)
+    n_train, n_val, _ = split_counts(n)
     return Dataset(
         train=pairs[:n_train],
         validation=pairs[n_train : n_train + n_val],
         test=pairs[n_train + n_val :],
         gen_params=params,
-        split_fractions=SPLIT_FRACTIONS if counts is None else (
-            n_train / n, n_val / n, n_test / n
-        ),
         provenance={"seed": params.seed, "oracle": oracle_name, "n": n},
     )

@@ -155,10 +155,9 @@ class BiLstmModel:
         model.head_w[:] = rng.uniform(-kh, kh, size=2 * width)
         return model
 
-    def parameters(self, vec: np.ndarray | None = None) -> dict[str, np.ndarray]:
-        """Named views of ``theta``, or of a vector in its layout such as a
-        gradient, in the documented fixed sequence."""
-        layers, head_w, head_b = self._views(self.theta if vec is None else vec)
+    def parameters(self) -> dict[str, np.ndarray]:
+        """Named views of ``theta``, in the documented fixed sequence."""
+        layers, head_w, head_b = self._views(self.theta)
         out: dict[str, np.ndarray] = {}
         for i, (W, U, b) in enumerate(layers):
             for k, tag in enumerate(("fwd", "bwd")):

@@ -82,7 +82,10 @@ def confidence_order(probs: np.ndarray) -> np.ndarray:
 
 
 def select_predictions(pred: PredictionVector, level_pct: float, inst: Instance) -> FixPlan:
-    """Fix the most confident round(level*T/100) periods to their labels."""
+    """Fix the most confident round(level*T/100) periods to their labels.
+
+    The plan lists its periods in confidence order.
+    """
     validate_prediction(pred, inst)
     if not 0.0 <= level_pct <= 100.0:
         raise ValidationError("level must lie in [0, 100]")
@@ -104,7 +107,6 @@ class EvalOptions:
     """
 
     time_limit: float | None = None
-    gap_tol: float = 1e-9
     ls_rounds: int = 0
     baseline: Solution
     instance_id: str = ""
@@ -143,8 +145,7 @@ def _solve_mode(
         plan = FixPlan.empty()
         incumbent_y = tuple(int(v) for v in repair_prediction(inst, pred))
     sol = branch_and_bound(inst, plan, BnbOptions(
-        time_limit=opts.time_limit, gap_tol=opts.gap_tol,
-        ls_rounds=opts.ls_rounds, incumbent_y=incumbent_y,
+        time_limit=opts.time_limit, ls_rounds=opts.ls_rounds, incumbent_y=incumbent_y,
     ))
     time_ml = time.perf_counter() - t0 + pred.predict_seconds
     baseline = opts.baseline
@@ -179,9 +180,9 @@ def soft_fix_plan(inst: Instance, pred: PredictionVector) -> FixPlan:
     a released period's capacity counts from its own period on.
     """
     entries = dict(select_predictions(pred, 100.0, inst).entries)
-    probs = pred.probs.tolist()
-    closed = [t for t, v in entries.items() if v == 0]
-    drops = sorted(closed, key=lambda t: (max(probs[t - 1], 1.0 - probs[t - 1]), -t))
+    # The plan lists its periods in confidence order, so the closed ones read
+    # backwards are least confident first, ties to the later period.
+    drops = [t for t in reversed(entries) if entries[t] == 0]
     rank = {t: r for r, t in enumerate(drops)}
     cap = inst.cap.tolist()
     supply, need, released = inst.s0, 0, 0
@@ -254,7 +255,7 @@ def evaluate_instance(
     validate_prediction(pred, inst)
     opts = opts or BnbOptions()
     plain = EvalOptions(
-        time_limit=opts.time_limit, gap_tol=opts.gap_tol, ls_rounds=opts.ls_rounds,
+        time_limit=opts.time_limit, ls_rounds=opts.ls_rounds,
         baseline=branch_and_bound(inst, opts=opts), instance_id=instance_id,
     )
     return [

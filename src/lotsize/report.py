@@ -19,6 +19,14 @@ def summarize(records: list[EvalRecord]) -> list[MetricsReport]:
     return [compute_metrics(groups[key]) for key in sorted(groups)]
 
 
+def _reports_by_mode(records: list[EvalRecord]) -> dict[str, list[MetricsReport]]:
+    """Each mode's group reports by ascending level, the modes in sorted order."""
+    by_mode: dict[str, list[MetricsReport]] = defaultdict(list)
+    for rep in summarize(records):
+        by_mode[rep.mode].append(rep)
+    return by_mode
+
+
 def _num(value, digits=2) -> str:
     if value is None:
         return "-"
@@ -27,19 +35,15 @@ def _num(value, digits=2) -> str:
 
 def render_markdown(records: list[EvalRecord]) -> str:
     """One table per mode, rows ordered by prediction level."""
-    reports = summarize(records)
-    by_mode: dict[str, list[MetricsReport]] = defaultdict(list)
-    for rep in reports:
-        by_mode[rep.mode].append(rep)
     lines = ["# Evaluation summary", ""]
-    for mode in sorted(by_mode):
+    for mode, reps in _reports_by_mode(records).items():
         lines.append(f"## Mode: {mode}")
         lines.append("")
         lines.append(
             "| level(%) | n | time_plain(s) | timeML(s) | timeimp | timegain(%) | inf(%) | optgap(%) |"
         )
         lines.append("|---:|---:|---:|---:|---:|---:|---:|---:|")
-        for rep in sorted(by_mode[mode], key=lambda r: r.level_pct):
+        for rep in reps:
             lines.append(
                 "| {level} | {n} | {cpx} | {ml} | {imp} | {gain} | {inf} | {gap} |".format(
                     level=_num(rep.level_pct, 0),
@@ -58,14 +62,10 @@ def render_markdown(records: list[EvalRecord]) -> str:
 
 def figure_csvs(records: list[EvalRecord]) -> dict[str, str]:
     """Per-mode CSVs of level against the three headline metrics."""
-    reports = summarize(records)
-    by_mode: dict[str, list[MetricsReport]] = defaultdict(list)
-    for rep in reports:
-        by_mode[rep.mode].append(rep)
     out = {}
-    for mode, reps in by_mode.items():
+    for mode, reps in _reports_by_mode(records).items():
         lines = ["level_pct,timeimp,inf_pct,optgap_pct"]
-        for rep in sorted(reps, key=lambda r: r.level_pct):
+        for rep in reps:
             lines.append(
                 f"{rep.level_pct:g},{'' if rep.timeimp is None else repr(rep.timeimp)},"
                 f"{rep.inf_pct!r},"

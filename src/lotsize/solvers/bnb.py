@@ -29,7 +29,10 @@ persistent HiGHS model that holds the cut rows, where a node changes only
 the setup bounds and re-solves hot from the last basis. Without cut rows,
 nodes are solved in closed form by ``PathRelaxation``. Search is
 best-bound first with deterministic FIFO tie-breaking, branching on the most
-fractional setup variable (ties to the earliest period). Integer candidates
+fractional setup variable (ties to the earliest period). A node is pruned
+once its bound is within the relative gap ``GAP_TOL`` of the incumbent, so
+an ``Optimal`` solution is optimal to a relative 1e-9 and its objective
+stands as z*. Integer candidates
 are re-evaluated exactly with the fixed-pattern solver so incumbent
 objectives carry no LP round-off. The relaxation, both incumbents and every
 integer candidate read the one ``PathData``, and the returned solution
@@ -44,7 +47,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,11 +62,14 @@ from ..core import (
     infeasible_solution,
 )
 from ..errors import ValidationError
-from .cuts import DEFAULT_ROUNDS, SEPARATION_TOL, root_cut_loop
+from .cuts import DEFAULT_ROUNDS, root_cut_loop
 from .lp import LP_INFEASIBLE, LP_OPTIMAL, LpWorkspace
 from .pattern import PathData, PathRelaxation, solve_for_pattern
 
 INT_TOL = 1e-6
+# One gap for every solve, not an option: evaluation scores records against an
+# Optimal plain solve's objective as z*, so a looser gap lets them beat it.
+GAP_TOL = 1e-9
 # Root-gap screen: with cut rounds asked for, the cut loop is skipped when the
 # cut-free root is within this share of the root incumbent's objective. Chosen
 # by wall time per record of the evaluate grid on desk instances at T=20 and
@@ -74,18 +80,15 @@ ROOT_GAP = 0.07
 @dataclass(frozen=True)
 class BnbOptions:
     time_limit: float | None = None
-    gap_tol: float = 1e-9
     ls_rounds: int = 0
     incumbent_y: tuple | None = None
 
     def __post_init__(self):
         if self.ls_rounds < 0:
             raise ValidationError("ls_rounds must be non-negative")
-        # NaN fails every comparison: a NaN gap_tol would never prune.
+        # NaN fails every comparison: a NaN limit would never stop the search.
         if self.time_limit is not None and not self.time_limit >= 0:
             raise ValidationError(f"time_limit must be non-negative, got {self.time_limit}")
-        if not self.gap_tol >= 0:
-            raise ValidationError(f"gap_tol must be non-negative, got {self.gap_tol}")
 
 
 def repair_pattern(inst: Instance, open_flags, scores, allowed=None) -> np.ndarray | None:
@@ -146,7 +149,7 @@ def _root_incumbent(
 def branch_and_bound(
     inst: Instance, plan: FixPlan | None = None, opts: BnbOptions | None = None
 ) -> Solution:
-    """Solve the MIP under ``plan`` fixings to the requested gap tolerance."""
+    """Solve the MIP under ``plan`` fixings to the relative gap ``GAP_TOL``."""
     plan = plan or FixPlan.empty()
     plan.validate_for(inst.T)
     opts = opts or BnbOptions()
@@ -206,7 +209,7 @@ def branch_and_bound(
             # is found it stays the root and no LP is solved in HiGHS.
             workspace = LpWorkspace(inst)
             pool, bounds, root = root_cut_loop(
-                inst, opts.ls_rounds, SEPARATION_TOL, plan, workspace, start=root
+                inst, opts.ls_rounds, plan, workspace, start=root
             )
             lp_solves = len(bounds) + (root.status != LP_OPTIMAL)
             cut_stop = "rounds" if len(bounds) > opts.ls_rounds else "no-cut"
@@ -220,7 +223,7 @@ def branch_and_bound(
         return incumbent.objective if incumbent is not None else float("inf")
 
     def prune_bound(u: float) -> float:
-        return u - max(opts.gap_tol * abs(u), 1e-12)
+        return u - max(GAP_TOL * abs(u), 1e-12)
 
     # Nodes whose bound reaches ``cutoff`` are pruned; it moves only when
     # the incumbent does.
@@ -285,11 +288,6 @@ def branch_and_bound(
     return incumbent.with_stats(stats(mip_gap=gap), status)
 
 
-def solve_with_ls_cuts(
-    inst: Instance,
-    rounds: int = DEFAULT_ROUNDS,
-    opts: BnbOptions | None = None,
-    plan: FixPlan | None = None,
-) -> Solution:
+def solve_with_ls_cuts(inst: Instance, rounds: int = DEFAULT_ROUNDS) -> Solution:
     """Branch and bound after ``rounds`` root cut rounds: ``solve("lscuts")``."""
-    return branch_and_bound(inst, plan, replace(opts or BnbOptions(), ls_rounds=rounds))
+    return branch_and_bound(inst, opts=BnbOptions(ls_rounds=rounds))

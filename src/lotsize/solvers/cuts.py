@@ -15,7 +15,8 @@ over ``LpWorkspace``'s ``[x, s, y]`` columns, read as ``row @ z <= 0``: 1 at
 The most violated subset for a prefix keeps exactly the periods where the
 margin ``x_t - d_{t,ell} * y_t`` is positive, so separation computes the
 margins of every prefix at once, as the upper triangle ``t <= ell`` of one
-T×T array.
+T×T array. A prefix yields a cut when its violation exceeds the constant
+``SEPARATION_TOL``.
 
 Branch and bound runs ``root_cut_loop`` when ``BnbOptions.ls_rounds > 0``
 and its root-gap screen (``bnb.ROOT_GAP``) does not skip the loop: the
@@ -37,9 +38,7 @@ SEPARATION_TOL = 1e-6
 DEFAULT_ROUNDS = 5
 
 
-def separate_ls_cuts(
-    inst: Instance, lp: LpSolution, tol: float = SEPARATION_TOL
-) -> np.ndarray:
+def separate_ls_cuts(inst: Instance, lp: LpSolution) -> np.ndarray:
     """The violated prefix inequalities at an LP point as rows, at most one per prefix.
 
     Rows come in prefix order; with no violated prefix the shape is (0, 3T).
@@ -56,7 +55,7 @@ def separate_ls_cuts(
     # Summed in period order, one addition at a time, so the tolerance test
     # sees the same slack as a scan over the periods would.
     slack = np.cumsum(np.where(member, margin, 0.0), axis=0)[-1]
-    ells = np.flatnonzero(member.any(axis=0) & (slack - lp.s > tol))
+    ells = np.flatnonzero(member.any(axis=0) & (slack - lp.s > SEPARATION_TOL))
     members = member[:, ells].T
     rows = np.zeros((len(ells), 3 * T))
     rows[:, :T] = members
@@ -68,7 +67,6 @@ def separate_ls_cuts(
 def root_cut_loop(
     inst: Instance,
     rounds: int = DEFAULT_ROUNDS,
-    tol: float = SEPARATION_TOL,
     plan: FixPlan | None = None,
     workspace: LpWorkspace | None = None,
     start: LpSolution | None = None,
@@ -99,7 +97,7 @@ def root_cut_loop(
         bounds.append(root.objective)
         if k == rounds:
             break
-        rows = separate_ls_cuts(inst, root, tol)
+        rows = separate_ls_cuts(inst, root)
         fresh = rows[np.array([row.tobytes() not in seen for row in rows], dtype=bool)]
         if not len(fresh):
             break

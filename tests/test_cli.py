@@ -196,11 +196,11 @@ class TestSolve:
         assert "ls_rounds" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    # A negative limit made every solve a TimeLimit; a NaN gap_tol turned pruning off.
+    # A negative limit made every solve a TimeLimit; a NaN limit never stopped one.
     @pytest.mark.parametrize("flags", [
         ("--solver", "bnb", "--time-limit", -1),
-        ("--solver", "lscuts", "--gap-tol", "nan"),
-    ], ids=["bnb-time-limit-neg", "lscuts-gap-tol-nan"])
+        ("--solver", "lscuts", "--time-limit", "nan"),
+    ], ids=["bnb-time-limit-neg", "lscuts-time-limit-nan"])
     def test_bad_limit_is_usage_error(self, flags, dataset_dir, tmp_path, capsys):
         assert run("solve", "--dataset", dataset_dir, *flags, "--out", tmp_path / "o") == 2
         assert flags[2].lstrip("-").replace("-", "_") in capsys.readouterr().err
@@ -222,14 +222,13 @@ def test_jobs_below_one_is_usage_error(argv, dataset_dir, tmp_path, capsys):
 
 # Each command sets a flag that the chosen solver or source would ignore.
 @pytest.mark.parametrize("argv,flag", [
-    (["solve", "--solver", "dp", "--time-limit", 1e-6, "--gap-tol", 0.9, "--ls-rounds", 9],
-     "--time-limit"),
-    (["solve", "--solver", "brute", "--gap-tol", 0.9], "--gap-tol"),
+    (["solve", "--solver", "dp", "--time-limit", 1e-6, "--ls-rounds", 9], "--time-limit"),
+    (["solve", "--solver", "brute", "--time-limit", 1], "--time-limit"),
     (["solve", "--solver", "bnb", "--ls-rounds", 7], "--ls-rounds"),
     (["predict", "--baseline", "logistic", "--model", "/nonexistent.bin"], "--model"),
     (["predict", "--model", "/nonexistent.bin", "--seed", 3], "--seed"),
     (["solve", "--solver", "bnb", "--config", "ls_rounds = 7"], "--ls-rounds"),
-], ids=["dp-all", "brute-gap-tol", "bnb-ls-rounds", "predict-both", "predict-model-seed",
+], ids=["dp-all", "brute-time-limit", "bnb-ls-rounds", "predict-both", "predict-model-seed",
         "config-ls-rounds"])
 def test_ignored_flag_is_usage_error(argv, flag, dataset_dir, tmp_path, capsys):
     if "--config" in argv:
@@ -267,20 +266,20 @@ def lr_probs(dataset_dir, tmp_path_factory) -> Path:
 
 
 # Each of these wrote a records.csv and exited 0: header only for an empty
-# mode or level list, TimeLimit rows for a negative limit, unpruned search for
-# a NaN gap tolerance, each record twice for a repeated mode or level.
+# mode or level list, TimeLimit rows for a negative limit, negative gaps from
+# plain solves that stopped 1% short of the optimum, each record twice for a
+# repeated mode or level.
 @pytest.mark.parametrize("flags", [
     ("--mode", ","),
     ("--mode", "hard", "--levels", ""),
     ("--mode", "soft,hard", "--levels", ","),
     ("--time-limit", -1),
     ("--time-limit", "nan"),
-    ("--gap-tol", "nan"),
-    ("--gap-tol", -0.5),
+    ("--gap-tol", 0.01),
     ("--mode", "hard,hard"),
     ("--levels", "50,50.0"),
 ], ids=["mode-empty", "levels-empty", "levels-comma", "time-limit-neg", "time-limit-nan",
-        "gap-tol-nan", "gap-tol-neg", "mode-repeated", "levels-repeated"])
+        "gap-tol", "mode-repeated", "levels-repeated"])
 def test_bad_evaluate_input_is_usage_error(flags, dataset_dir, lr_probs, tmp_path, capsys):
     out = tmp_path / "eval"
     assert run("evaluate", "--dataset", dataset_dir, "--probs", lr_probs, *flags,
@@ -601,10 +600,12 @@ class TestConfigFile:
         meta2 = json.loads((out2 / "meta.json").read_text())
         assert meta2["gen_params"]["seed"] == 13
 
-    # jobs and oracle are options of other commands, not of the chosen one.
+    # jobs and oracle are options of other commands, not of the chosen one;
+    # gap_tol is an option of none.
     @pytest.mark.parametrize("command,line", [
         ("gen", "bogus_key = 1"), ("evaluate", "jobs = 2"), ("solve", "oracle = dp"),
-    ], ids=["gen-bogus_key", "evaluate-jobs", "solve-oracle"])
+        ("evaluate", "gap_tol = 0.01"),
+    ], ids=["gen-bogus_key", "evaluate-jobs", "solve-oracle", "evaluate-gap_tol"])
     def test_unknown_config_key_is_usage_error(self, command, line, dataset_dir, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")

@@ -124,7 +124,7 @@ class TestSeparation:
     def test_two_period_fractional_point(self):
         inst = Instance(T=2, d=[1, 1], p=[1, 1], f=[5, 5], h=[1, 1], cap=[3, 3])
         x, y, s = [2, 0], [0.5, 0], [1, 0]
-        rows = separate_ls_cuts(inst, lp_point(inst, x, y, s), tol=1e-6)
+        rows = separate_ls_cuts(inst, lp_point(inst, x, y, s))
         by_ell = dict(zip(prefixes(rows, 2), rows))
         found = dict(zip(prefixes(rows, 2), violations(rows, x, y, s)))
         # Prefix 2 gives the textbook violation of 1.0 with S={1}.
@@ -140,7 +140,7 @@ class TestSeparation:
     def test_integer_optimum_yields_nothing(self, e1):
         opt = brute_force(e1)
         point = lp_point(e1, opt.x, opt.y, opt.s)
-        assert separate_ls_cuts(e1, point, tol=1e-6).shape == (0, 9)
+        assert separate_ls_cuts(e1, point).shape == (0, 9)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 100_000))
@@ -149,7 +149,7 @@ class TestSeparation:
         lp = LpWorkspace(inst).solve()
         if lp.status != LP_OPTIMAL:
             return
-        rows = separate_ls_cuts(inst, lp, tol=1e-6)
+        rows = separate_ls_cuts(inst, lp)
         oracle = enumerate_most_violated(inst, lp.x, lp.y, lp.s, tol=1e-6)
         assert prefixes(rows, inst.T) == sorted(oracle)
         for ell, violation in zip(prefixes(rows, inst.T), violations(rows, lp.x, lp.y, lp.s)):
@@ -239,7 +239,7 @@ class TestBranchAndCutDifferential:
     @given(case=planned_instances(), rounds=st.integers(1, 5))
     def test_matches_cut_free_bnb_and_repeats(self, case, rounds):
         inst, plan = case
-        cut = solve_with_ls_cuts(inst, rounds, plan=plan)
+        cut = branch_and_bound(inst, plan, BnbOptions(ls_rounds=rounds))
         free = branch_and_bound(inst, plan)
         assert cut.status == free.status
         if cut.status == "Optimal":
@@ -247,7 +247,7 @@ class TestBranchAndCutDifferential:
             assert check_solution(inst, cut) == []
             for t, v in plan.entries.items():
                 assert cut.y[t - 1] == v
-        again = solve_with_ls_cuts(inst, rounds, plan=plan)
+        again = branch_and_bound(inst, plan, BnbOptions(ls_rounds=rounds))
         assert np.array_equal(again.y, cut.y)
         assert again.stats.nodes_explored == cut.stats.nodes_explored
         assert again.stats.lp_solves == cut.stats.lp_solves
@@ -266,7 +266,7 @@ class TestRootGapScreen:
                 size = int(rng.integers(0, T))
                 fixed = rng.choice(np.arange(1, T + 1), size=size, replace=False)
                 plan = FixPlan({int(t): int(rng.integers(0, 2)) for t in fixed})
-                cut = solve_with_ls_cuts(inst, 3, plan=plan)
+                cut = branch_and_bound(inst, plan, BnbOptions(ls_rounds=3))
                 free = branch_and_bound(inst, plan)
                 assert cut.status == free.status
                 if cut.status != "Optimal":
@@ -319,7 +319,7 @@ class TestRelaxationsSolvedOnce:
             for plan in (FixPlan.empty(), FixPlan({int(t): 1 for t in fixed})):
                 for rounds in (1, 5):
                     solves.clear()
-                    sol = solve_with_ls_cuts(inst, rounds, plan=plan)
+                    sol = branch_and_bound(inst, plan, BnbOptions(ls_rounds=rounds))
                     assert len(set(solves)) == len(solves)
                     assert sol.stats.lp_solves == len(solves)
 
@@ -341,7 +341,7 @@ class TestRelaxationsSolvedOnce:
         for inst, plan in cases:
             for rounds in (1, 3):
                 solves.clear()
-                st = solve_with_ls_cuts(inst, rounds, plan=plan).stats
+                st = branch_and_bound(inst, plan, BnbOptions(ls_rounds=rounds)).stats
                 root_key = tuple(sorted(dict(plan.entries).items()))
                 screen = [name for name, rows, key in solves if key == root_key and rows == 0]
                 loop_lps = sum(
@@ -363,7 +363,7 @@ class TestRelaxationsSolvedOnce:
                     assert (loop_lps == rounds) == (st.cut_stop == "rounds")
         assert {"root-gap", "no-cut", "rounds"} <= seen
         # The repro case: its cut-free root is within the screen's gap.
-        first = solve_with_ls_cuts(cases[0][0], 3, plan=cases[0][1]).stats
+        first = branch_and_bound(cases[0][0], cases[0][1], BnbOptions(ls_rounds=3)).stats
         assert first.cut_stop == "root-gap" and first.cuts_added == 0
         assert first.nodes_explored > 1 and first.lp_solves == first.nodes_explored
 

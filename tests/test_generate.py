@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lotsize import FixPlan, GenParams, flow_feasible, generate_dataset, generate_instance
+from lotsize import generate
 from lotsize.errors import DatasetError, GenerationError, ValidationError
 from lotsize.generate import desk_params, split_counts
 from lotsize.solvers import solve_dp
@@ -52,13 +53,14 @@ class TestGenerateInstance:
         for i in range(50):
             assert flow_feasible(generate_instance(params, i), FixPlan.empty())
 
-    def test_redraw_budget_exhaustion(self):
+    def test_redraw_budget_exhaustion(self, monkeypatch):
         # c=1 with heavy constant-ish demand is infeasible on most draws;
         # with a budget of 1 some draw index must fail.
+        monkeypatch.setattr(generate, "REDRAW_BUDGET", 1)
         params = GenParams(c_ratio=1, f_ratio=10.0, T=40, demand_range=(550, 600), seed=0)
         with pytest.raises(GenerationError):
             for i in range(50):
-                generate_instance(params, i, max_attempts=1)
+                generate_instance(params, i)
 
     def test_param_validation(self):
         with pytest.raises(ValidationError):
@@ -98,11 +100,6 @@ class TestGenerateDataset:
         params = desk_params(3, 100.0, T=10)
         with pytest.raises(ValidationError):
             generate_dataset(params, 5, solve_dp)
-
-    def test_explicit_counts(self):
-        params = desk_params(3, 100.0, T=10, seed=6)
-        ds = generate_dataset(params, 20, solve_dp, counts=(12, 4, 4))
-        assert (len(ds.train), len(ds.validation), len(ds.test)) == (12, 4, 4)
 
     def test_oracle_failure_is_reported(self):
         params = desk_params(3, 100.0, T=10, seed=6)

@@ -12,7 +12,7 @@ import numpy as np
 
 from lotsize import FixPlan
 from lotsize.generate import desk_params, generate_instance
-from lotsize.solvers import branch_and_bound, solve_with_ls_cuts
+from lotsize.solvers import BnbOptions, branch_and_bound
 
 GOLDEN = Path(__file__).parent / "data" / "golden_bnb_trees.json"
 # (T, c_ratio, f_ratio, instances per preset) of the desk presets covered.
@@ -33,12 +33,12 @@ def golden_bnb_trees() -> list[dict]:
 
     Every instance is solved unrestricted and under ``PLANS_PER_INSTANCE``
     seeded partial plans, by cut-free ``branch_and_bound`` and by
-    ``solve_with_ls_cuts`` with 3 and 5 rounds.
+    ``branch_and_bound`` after 3 and 5 root cut rounds.
     """
     solvers = {
         "bnb": lambda inst, plan: branch_and_bound(inst, plan),
-        "lscuts3": lambda inst, plan: solve_with_ls_cuts(inst, 3, plan=plan),
-        "lscuts5": lambda inst, plan: solve_with_ls_cuts(inst, 5, plan=plan),
+        "lscuts3": lambda inst, plan: branch_and_bound(inst, plan, BnbOptions(ls_rounds=3)),
+        "lscuts5": lambda inst, plan: branch_and_bound(inst, plan, BnbOptions(ls_rounds=5)),
     }
     cases = []
     for T, c_ratio, f_ratio, n in PRESETS:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -287,7 +288,7 @@ class TestStackedRecurrenceParity:
                     assert np.array_equal(getattr(new_chain, name), value), name
 
         loss, grad = batch_loss_and_grads(model, X, Y, np.random.default_rng(seed + 1))
-        grads = model.parameters(grad)
+        grads = dataclasses.replace(model, theta=grad).parameters()
         assert loss == bce_loss(Y, ref["probs"])
         dlogits = (np.clip(ref["probs"], PROB_CLIP, 1.0 - PROB_CLIP) - Y) / Y.size
         ref_grads = reference_backward(model, ref, dlogits)
