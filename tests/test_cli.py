@@ -267,8 +267,8 @@ def lr_probs(dataset_dir, tmp_path_factory) -> Path:
 
 # Each of these wrote a records.csv and exited 0: header only for an empty
 # mode or level list, TimeLimit rows for a negative limit, negative gaps from
-# plain solves that stopped 1% short of the optimum, each record twice for a
-# repeated mode or level.
+# plain solves let stop 1% above the optimum, each record twice for a repeated
+# mode or level.
 @pytest.mark.parametrize("flags", [
     ("--mode", ","),
     ("--mode", "hard", "--levels", ""),
